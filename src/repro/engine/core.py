@@ -2,7 +2,8 @@
 
 ``run_point`` executes one :class:`~repro.engine.runners.ExperimentPoint`
 through the content-addressed cache; ``run_sweep`` fans a list of points
-out over a :class:`~concurrent.futures.ProcessPoolExecutor` and assembles
+out over a :class:`~concurrent.futures.ProcessPoolExecutor` borrowed from
+:mod:`repro.engine.pool` (which keeps it for the next sweep) and assembles
 a typed :class:`~repro.analysis.results.SweepResult`.  Because every
 experiment is a pure counting run (the paper's machines are deterministic
 models, not wall-clock measurements), a cache hit is exactly as good as a
@@ -41,13 +42,14 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.results import RunResult, SweepPoint, SweepResult
 from repro.engine.cache import ResultCache
+from repro.engine.pool import borrow, discard, give_back, submit
 from repro.engine.runners import PRIMARY_METRIC, ExperimentPoint, execute_point
 from repro.engine.trace import Tracer
 from repro.obs.manifest import RunManifest
@@ -347,19 +349,6 @@ def _traceback_tail(exc: BaseException, limit: int = 12) -> str:
     return "".join(lines[-limit:])
 
 
-def _worker_init() -> None:
-    """Reset signal disposition in pool workers.
-
-    Forked workers inherit the parent's handlers — including the sweep's
-    flag-setting drain handler, which would turn ``_kill_pool``'s
-    ``proc.terminate()`` into a no-op (the worker sets a flag on *its*
-    copy of the runner and keeps executing).  Workers must die on SIGTERM
-    (the engine kills hung pools that way) and must leave SIGINT to the
-    parent, which drains and terminates them deliberately."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
 class _SweepRunner:
     """State machine behind :func:`run_sweep`: cache scan, dispatch,
     retry/timeout/rebuild handling, incremental checkpointing.
@@ -555,15 +544,7 @@ class _SweepRunner:
                 self._complete(task, metrics, trace, wall)
         self._skip_remaining(tasks)
 
-    # -- pooled execution ----------------------------------------------- #
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Terminate the pool's workers (hung or not) and abandon it."""
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            if proc.is_alive():
-                proc.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
-
+    # -- pooled execution (pools outlive the sweep, see engine/pool.py) -- #
     def _requeue_victims(self, in_flight: dict, tasks: deque) -> None:
         """Re-queue in-flight points lost to a pool break through no fault
         of their own — their execution never finished, so it is not
@@ -589,9 +570,9 @@ class _SweepRunner:
     def _run_pooled(self, tasks: deque) -> None:
         cfg = self.config
         unexpected_breaks = 0
-        pool = ProcessPoolExecutor(max_workers=cfg.workers,
-                                   initializer=_worker_init)
+        pool = borrow(cfg.workers)
         in_flight: dict[Future, _Task] = {}
+        clean = False
         try:
             while (tasks or in_flight) and not self.stop:
                 broken = False
@@ -603,8 +584,8 @@ class _SweepRunner:
                     task.attempts += 1
                     task.submitted_at = time.perf_counter()
                     try:
-                        fut = pool.submit(
-                            execute_point,
+                        fut = submit(
+                            pool,
                             task.point.to_dict(),
                             self.config.profile_spec(task.key),
                         )
@@ -652,15 +633,14 @@ class _SweepRunner:
                     unexpected_breaks += 1
                     self._emit("engine.pool.broken", breaks=unexpected_breaks)
                     self._requeue_victims(in_flight, tasks)
-                    self._kill_pool(pool)
+                    discard(pool)
                     if unexpected_breaks > cfg.max_pool_rebuilds:
                         self.degraded = True
                         self._emit("engine.pool.degraded", breaks=unexpected_breaks)
                         self._run_serial(tasks)
                         return
                     self.metrics.inc("engine.pool.rebuilds")
-                    pool = ProcessPoolExecutor(max_workers=cfg.workers,
-                                               initializer=_worker_init)
+                    pool = borrow(cfg.workers)
                     continue
 
                 # enforce the per-point wall-clock timeout
@@ -677,18 +657,22 @@ class _SweepRunner:
                                 tasks.append(task)
                         # the hung workers must die: kill the pool, spare
                         # the innocents' retry budget, rebuild
-                        self._kill_pool(pool)
+                        discard(pool)
                         self._requeue_victims(in_flight, tasks)
                         self.metrics.inc("engine.pool.rebuilds")
-                        pool = ProcessPoolExecutor(max_workers=cfg.workers,
-                                                   initializer=_worker_init)
+                        pool = borrow(cfg.workers)
             if self.stop:
-                self._kill_pool(pool)
+                discard(pool)
                 self._skip_remaining(in_flight.values())
                 in_flight.clear()
                 self._skip_remaining(tasks)
+            else:
+                clean = True
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if clean:
+                give_back(pool)
+            else:
+                pool.shutdown(wait=False, cancel_futures=True)
 
     # -- orchestration -------------------------------------------------- #
     def run(self) -> SweepResult:

@@ -4,8 +4,9 @@ Every recovery feature of :func:`repro.engine.run_sweep` — per-point
 timeouts, retries with backoff, pool rebuilds after worker death, degraded
 serial execution — is tested against *real* child-process failures, not
 mocks.  This module is the switchboard: a :class:`FaultPlan` installed in
-the ``REPRO_FAULTS`` environment variable (inherited by every worker the
-engine spawns, including rebuilt pools) makes :func:`apply_fault` fire a
+the ``REPRO_FAULTS`` environment variable (read by the engine when it
+submits each point and sent along to the worker, which may have been
+forked before the plan was installed) makes :func:`apply_fault` fire a
 chosen failure on the first N executions of matching points:
 
 ``crash``

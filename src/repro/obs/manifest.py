@@ -34,6 +34,7 @@ the report loader both go through it.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -53,8 +54,12 @@ MANIFEST_SCHEMA = "repro.sweep-manifest/1"
 _LEDGER_STATUSES = ("pending", "ok", "error", "timeout", "skipped")
 
 
+@functools.lru_cache(maxsize=None)
 def _git_sha() -> str | None:
-    """Best-effort commit id of the source tree; None outside a checkout."""
+    """Best-effort commit id of the source tree; None outside a checkout.
+
+    Asked once per process: every sweep writes a manifest, and the
+    subprocess would otherwise be the costliest part of a small sweep."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -159,7 +164,10 @@ class RunManifest:
         fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.data, fh, sort_keys=True, indent=1)
+                # one-shot compact dumps runs json's C encoder (json.dump
+                # and indent both force the pure-Python one); the manifest
+                # is rewritten per point
+                fh.write(json.dumps(self.data, sort_keys=True))
             os.replace(tmp, self.path)
         except BaseException:
             try:

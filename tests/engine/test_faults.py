@@ -107,6 +107,26 @@ class TestCrashRecovery:
         assert tracer.kinds().get("engine.pool.degraded") == 1
 
 
+class TestReusedWorkers:
+    """Pools outlive a sweep, so a fault plan installed after the workers
+    were forked must still reach them — and a removed plan must not."""
+
+    def test_plan_installed_after_fork_reaches_reused_workers(self):
+        clean = run_sweep(_points(), EngineConfig(workers=2))
+        assert clean.stats["pool_rebuilds"] == 0
+        with inject_faults(_rule("crash", 16, times=1)):
+            res = run_sweep(_points(), EngineConfig(workers=2))
+        assert res.stats["pool_rebuilds"] >= 1
+        assert res.failures == [] and res.measured == clean.measured
+
+    def test_plan_removed_after_fork_no_longer_fires(self):
+        with inject_faults(_rule("raise", 16, times=99)):
+            faulty = run_sweep(_points(), EngineConfig(workers=2))
+        assert [r.params["n"] for r in faulty.failures] == [16]
+        res = run_sweep(_points(), EngineConfig(workers=2))
+        assert res.failures == [] and len(res.points) == len(SIZES)
+
+
 class TestTimeout:
     def test_timeout_fires_on_hanging_point_and_sweep_returns(self):
         tracer = Tracer()

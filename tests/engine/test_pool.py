@@ -1,0 +1,184 @@
+"""Pool lifetime: worker pools outlive one ``run_sweep`` call.
+
+A sweep that ends cleanly gives its pool back for the next sweep; a sweep
+that had to kill its pool (point timeout, drain signal, ``fail_fast``)
+never returns it; two sweeps running at once never share a pool.  The
+pools are observed through a recording wrapper around ``borrow``.
+"""
+
+import os
+import signal
+import threading
+import time
+
+import pytest
+
+import repro.engine.core as core
+from repro.engine import (
+    EngineConfig,
+    FaultRule,
+    Tracer,
+    inject_faults,
+    run_sweep,
+    seq_io_point,
+)
+from repro.engine import pool as registry
+
+M = 48
+SIZES = (8, 16, 32)
+
+
+def _points(sizes=SIZES):
+    return [seq_io_point("strassen", n, M) for n in sizes]
+
+
+def _rule(mode, n, **kw):
+    return FaultRule(mode=mode, kind="seq_io", params={"n": n}, **kw)
+
+
+def _pids(pool) -> set[int]:
+    return set(pool._processes or {})
+
+
+@pytest.fixture
+def borrowed(monkeypatch):
+    """Every pool the sweeps borrow, in order."""
+    pools = []
+
+    def recording(workers):
+        pool = registry.borrow(workers)
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(core, "borrow", recording)
+    return pools
+
+
+def _fingerprints(sweep):
+    return [r.fingerprint() for r in sweep.runs]
+
+
+def test_consecutive_sweeps_share_workers(borrowed):
+    first = run_sweep(_points(), EngineConfig(workers=2))
+    pids = _pids(borrowed[0])
+    second = run_sweep(_points(), EngineConfig(workers=2))
+    assert len(borrowed) == 2 and borrowed[1] is borrowed[0]
+    assert len(pids) == 2 and _pids(borrowed[1]) == pids
+    assert borrowed[0] in registry._idle  # given back again
+    assert first.stats["pool_rebuilds"] == second.stats["pool_rebuilds"] == 0
+    assert _fingerprints(first) == _fingerprints(second)
+
+
+def test_timeout_kill_leaves_next_sweep_on_fresh_workers(borrowed):
+    serial = run_sweep(_points(), EngineConfig(workers=0))
+    hung_pids = set()
+
+    def note_hung_workers(event):
+        # emitted before the engine kills the pool
+        if event.kind == "engine.point.timeout":
+            hung_pids.update(_pids(borrowed[-1]))
+
+    with inject_faults(_rule("hang", 16, times=1, hang_s=60.0)):
+        killed = run_sweep(_points(), EngineConfig(
+            workers=2, point_timeout_s=1.0, max_retries=1,
+            tracer=Tracer(sink=note_hung_workers),
+        ))
+    assert killed.stats["timeouts"] == 1 and killed.failures == []
+    assert killed.stats["pool_rebuilds"] >= 1
+    hung = borrowed[0]
+    assert len(hung_pids) == 2
+    assert hung not in registry._idle and hung._shutdown_thread
+
+    after = run_sweep(_points(), EngineConfig(workers=2))
+    assert borrowed[-1] is not hung
+    assert len(_pids(borrowed[-1])) == 2
+    assert _pids(borrowed[-1]).isdisjoint(hung_pids)
+    assert after.stats["pool_rebuilds"] == 0
+    assert _fingerprints(after) == _fingerprints(serial)
+    assert _fingerprints(killed) == _fingerprints(serial)
+    assert [r.trace for r in after.runs] == [r.trace for r in serial.runs]
+
+
+def test_fail_fast_sweep_does_not_return_its_pool(borrowed):
+    # n=32 sleeps in flight while n=8 fails and trips fail_fast
+    with inject_faults(_rule("raise", 8, times=99), _rule("delay", 32, delay_s=30.0)):
+        res = run_sweep(_points((32, 8, 16)), EngineConfig(workers=2, fail_fast=True))
+    assert sorted((r.status, r.params["n"]) for r in res.failures) == [
+        ("error", 8), ("skipped", 16), ("skipped", 32)
+    ]
+    assert len(borrowed) == 1
+    assert borrowed[0] not in registry._idle
+    assert borrowed[0]._shutdown_thread
+
+
+def test_interrupted_sweep_does_not_return_its_pool(borrowed):
+    assert threading.current_thread() is threading.main_thread()
+
+    def interrupt_after_first_point(event):
+        # the sweep's drain handler is installed while it emits events
+        if event.kind == "engine.point.done":
+            tracer.sink = None
+            os.kill(os.getpid(), signal.SIGINT)
+
+    tracer = Tracer(sink=interrupt_after_first_point)
+    with inject_faults(_rule("delay", 32, delay_s=30.0)):
+        res = run_sweep(_points(), EngineConfig(workers=2, tracer=tracer))
+    assert res.stats["interrupted"] == 1.0
+    assert "skipped" in {r.status for r in res.failures}
+    assert len(borrowed) == 1
+    assert borrowed[0] not in registry._idle
+    assert borrowed[0]._shutdown_thread
+
+
+def test_concurrent_sweeps_get_different_pools(borrowed, monkeypatch):
+    both_borrowed = threading.Barrier(2, timeout=30)
+    recording = core.borrow
+
+    def rendezvous(workers):
+        pool = recording(workers)
+        both_borrowed.wait()  # both sweeps hold a pool at the same time
+        return pool
+
+    monkeypatch.setattr(core, "borrow", rendezvous)
+    results = [None, None]
+
+    def sweep(slot):
+        results[slot] = run_sweep(_points(), EngineConfig(workers=2))
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert len(borrowed) == 2 and borrowed[0] is not borrowed[1]
+    assert len(_pids(borrowed[0])) == len(_pids(borrowed[1])) == 2
+    assert _pids(borrowed[0]).isdisjoint(_pids(borrowed[1]))
+    assert _fingerprints(results[0]) == _fingerprints(results[1])
+
+
+def test_idle_pool_is_shut_down_after_the_timeout(monkeypatch):
+    monkeypatch.setattr(registry, "IDLE_TIMEOUT_S", 0.05)
+    pool = registry.borrow(3)
+    pool.submit(abs, -1).result()
+    registry.give_back(pool)
+    assert pool in registry._idle
+    deadline = time.monotonic() + 10.0
+    while pool in registry._idle and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert pool not in registry._idle
+    assert pool._shutdown_thread
+
+
+def test_dead_idle_pool_is_never_handed_out():
+    pool = registry.borrow(3)
+    pool.submit(abs, -1).result()
+    registry.give_back(pool)
+    for proc in pool._processes.values():
+        proc.kill()
+        proc.join()
+    fresh = registry.borrow(3)
+    try:
+        assert fresh is not pool
+        assert pool not in registry._idle
+    finally:
+        registry.discard(fresh)
