@@ -20,7 +20,6 @@ from repro.analysis.report import text_table
 from repro.bounds.formulas import rectangular_bound
 from repro.bounds.validation import fit_exponent
 from repro.execution import execute_recursive_bilinear
-from repro.execution.rectangular import recursive_rectangular_matmul
 from repro.machine import SequentialMachine
 
 
@@ -69,7 +68,7 @@ def test_rectangular_row(benchmark, rng):
             A = rng.standard_normal((2 ** t, 3 ** t))
             B = rng.standard_normal((3 ** t, 4 ** t))
             mach = SequentialMachine(M)
-            C = recursive_rectangular_matmul(mach, alg, A, B)
+            C = execute_recursive_bilinear(mach, alg, A, B)
             assert np.allclose(C, A @ B)
             bound = rectangular_bound(24, t, 2, 4, M)
             rows.append([t, 24 ** t, mach.io_operations, bound,

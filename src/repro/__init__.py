@@ -74,10 +74,6 @@ from repro.execution import (
     execute_abmm,
     execute_parallel_bfs,
     parallel_classical_summa,
-    tiled_matmul,
-    recursive_fast_matmul,
-    abmm_machine_multiply,
-    parallel_strassen_bfs,
 )
 from repro import schedule
 from repro.bounds import (
@@ -149,10 +145,6 @@ __all__ = [
     "execute_abmm",
     "execute_parallel_bfs",
     "parallel_classical_summa",
-    "tiled_matmul",
-    "recursive_fast_matmul",
-    "abmm_machine_multiply",
-    "parallel_strassen_bfs",
     "OMEGA0_STRASSEN",
     "fast_sequential",
     "fast_parallel",

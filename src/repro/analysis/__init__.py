@@ -13,7 +13,6 @@ from repro.analysis.results import (
 )
 from repro.analysis.crossover import find_crossover
 from repro.analysis.report import text_table
-from repro.analysis.constants import ConstantSeries, leading_constant_series
 
 __all__ = [
     "sweep_from_jsonl",
@@ -25,6 +24,4 @@ __all__ = [
     "Table1Evaluation",
     "find_crossover",
     "text_table",
-    "ConstantSeries",
-    "leading_constant_series",
 ]

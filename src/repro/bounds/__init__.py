@@ -28,11 +28,6 @@ from repro.bounds.validation import (
     shape_report,
     shape_holds,
 )
-from repro.bounds.io_models import (
-    tiled_classical_io_model,
-    recursive_fast_io_model,
-    abmm_transform_io_model,
-)
 from repro.bounds.constants import (
     SMITH_CLASSICAL_CONSTANT,
     CONSTANT_SPREAD_TOL,
@@ -42,6 +37,8 @@ from repro.bounds.constants import (
     fit_leading_constant,
     constant_within,
     constant_drift_holds,
+    ConstantSeries,
+    leading_constant_series,
 )
 
 __all__ = [
@@ -65,9 +62,6 @@ __all__ = [
     "bound_respected",
     "shape_report",
     "shape_holds",
-    "tiled_classical_io_model",
-    "recursive_fast_io_model",
-    "abmm_transform_io_model",
     "SMITH_CLASSICAL_CONSTANT",
     "CONSTANT_SPREAD_TOL",
     "ConstantFit",
@@ -76,4 +70,6 @@ __all__ = [
     "fit_leading_constant",
     "constant_within",
     "constant_drift_holds",
+    "ConstantSeries",
+    "leading_constant_series",
 ]

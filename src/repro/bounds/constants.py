@@ -17,12 +17,20 @@ c = 2).  The falsify battery's ``constants`` checker uses the per-point
 ratio spread: a sweep whose constant drifts with n can keep its exponent
 error inside the 0.15 gate while the spread exposes it — the
 ``constant_drift`` mutant class certifies exactly that.
+
+:func:`leading_constant_series` gives the executor side of the same
+question: κ(n) = IO(n)/((n/√M)^{ω₀}·M) of the DFS executor, counted by
+the symbolic backend (word-identical to the machine), converges to the
+executor's leading coefficient — comparable with the closed form of
+:func:`repro.bounds.formulas.dfs_io_leading_coefficient`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "SMITH_CLASSICAL_CONSTANT",
@@ -33,6 +41,8 @@ __all__ = [
     "fit_leading_constant",
     "constant_within",
     "constant_drift_holds",
+    "ConstantSeries",
+    "leading_constant_series",
 ]
 
 #: Smith et al.'s tight classical leading constant: I/O ≥ 2n³/√M − 2M.
@@ -122,3 +132,40 @@ def constant_drift_holds(report, tol: float = CONSTANT_SPREAD_TOL) -> bool:
     the spread past this one.
     """
     return bool(report.constant_factor_spread <= tol)
+
+
+@dataclass
+class ConstantSeries:
+    """κ(n) over a size sweep, with convergence diagnostics."""
+
+    sizes: list[int]
+    kappas: list[float]
+
+    @property
+    def last(self) -> float:
+        return self.kappas[-1]
+
+    @property
+    def relative_step(self) -> float:
+        """|κ_last − κ_prev| / κ_last — small when converged."""
+        if len(self.kappas) < 2:
+            return float("inf")
+        return abs(self.kappas[-1] - self.kappas[-2]) / abs(self.kappas[-1])
+
+    @property
+    def monotone(self) -> bool:
+        diffs = np.diff(self.kappas)
+        return bool(np.all(diffs >= 0) or np.all(diffs <= 0))
+
+
+def leading_constant_series(alg, sizes: list[int], M: int) -> ConstantSeries:
+    """κ(n) of the DFS executor, from the symbolic backend's exact counts."""
+    from repro.bounds.formulas import fast_sequential
+    from repro.schedule import run, seq_io_schedule
+
+    kappas = [
+        float(run(seq_io_schedule(alg, n, M), backend="symbolic").io)
+        / fast_sequential(n, M, alg.omega0)
+        for n in sizes
+    ]
+    return ConstantSeries(sizes=list(sizes), kappas=kappas)

@@ -7,12 +7,15 @@ tests against plain matmul) and exact I/O counters.  These are the measured
 bounds: the paper's claims are about shape (exponents, who wins, where the
 parallel max{·,·} crosses over), and shape needs both sides.
 
-* :func:`execute_tiled` — classical blocked matmul, I/O ≈ 2n³/√(M/3)+3n²;
-* :func:`execute_recursive_bilinear` — DFS recursion of any square
-  bilinear algorithm with streamed linear combinations,
-  I/O = Θ((n/√M)^{ω₀}·M);
 * :func:`execute_hybrid` — fast recursion for the top ``cutoff`` levels,
-  classical ``tiled``/``resident`` leaves below (``docs/hybrid.md``);
+  classical ``tiled``/``resident`` leaves below (``docs/hybrid.md``); its
+  DFS is the only sequential ⟨n,m,p;t⟩ recursion in this package, and the
+  next two are its presets;
+* :func:`execute_recursive_bilinear` — the DFS of any bilinear algorithm
+  with streamed linear combinations and no classical levels,
+  I/O = Θ((n/√M)^{ω₀}·M);
+* :func:`execute_tiled` — the classical tiled leaf alone, I/O ≈
+  2n³/√(M/4) + n²;
 * :func:`execute_abmm` — Algorithm 1 on the sequential machine,
   separating transform I/O (Θ(n² log n)) from bilinear I/O (Theorem 4.1's
   "negligible" claim, measured);
@@ -20,30 +23,15 @@ parallel max{·,·} crosses over), and shape needs both sides.
   distributed executions on the BSP machine for the parallel bounds.
 
 All of these also run behind the unified facade
-:func:`repro.schedule.run` (backends "reference", "vector", "symbolic");
-the pre-redesign names (``tiled_matmul``, ``naive_matmul_lru_trace``,
-``recursive_fast_matmul``, ``abmm_machine_multiply``,
-``parallel_strassen_bfs``) remain importable as deprecated shims.
+:func:`repro.schedule.run` (backends "reference", "vector", "symbolic").
 """
 
-from repro.execution.classical_tiled import (
-    execute_lru_trace,
-    execute_tiled,
-    naive_matmul_lru_trace,
-    tiled_matmul,
-)
-from repro.execution.recursive_bilinear import (
-    execute_recursive_bilinear,
-    recursive_fast_matmul,
-)
+from repro.execution.classical_tiled import execute_lru_trace, execute_tiled
+from repro.execution.recursive_bilinear import execute_recursive_bilinear
 from repro.execution.hybrid import HYBRID_LEAVES, execute_hybrid, hybrid_depth
-from repro.execution.abmm_exec import abmm_machine_multiply, execute_abmm
+from repro.execution.abmm_exec import execute_abmm
 from repro.execution.parallel_classical import parallel_classical_summa
-from repro.execution.parallel_strassen import (
-    execute_parallel_bfs,
-    parallel_strassen_bfs,
-    simulate_bfs_comm,
-)
+from repro.execution.parallel_strassen import execute_parallel_bfs, simulate_bfs_comm
 
 __all__ = [
     "execute_tiled",
@@ -56,10 +44,4 @@ __all__ = [
     "execute_parallel_bfs",
     "simulate_bfs_comm",
     "parallel_classical_summa",
-    # deprecated shims
-    "tiled_matmul",
-    "naive_matmul_lru_trace",
-    "recursive_fast_matmul",
-    "abmm_machine_multiply",
-    "parallel_strassen_bfs",
 ]

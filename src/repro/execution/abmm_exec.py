@@ -9,17 +9,16 @@ phases separately so the benches can show the ratio actually vanishing.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.basis.abmm import AlternativeBasisAlgorithm
 from repro.basis.transform import invert_base_transform
+from repro.execution.hybrid import _hybrid_mult, hybrid_depth
 from repro.execution.recursive_bilinear import stream_linear_combination
 from repro.machine.sequential import SequentialMachine
 from repro.util.checks import check_power_of_two
 
-__all__ = ["machine_basis_transform", "execute_abmm", "abmm_machine_multiply"]
+__all__ = ["machine_basis_transform", "abmm_stop_size", "execute_abmm"]
 
 
 def machine_basis_transform(
@@ -76,6 +75,16 @@ def machine_basis_transform(
         machine.drop_slow(cur)
 
 
+def abmm_stop_size(n: int, M: int, base_size: int | None) -> int:
+    """The ABMM cutoff: largest power-of-two s with 3s² ≤ M (≤ base_size)."""
+    stop = n
+    while stop > 1 and (3 * stop * stop > M or (base_size and stop > base_size)):
+        stop //= 2
+    if 3 * stop * stop > M:
+        raise MemoryError(f"M={M} cannot hold even a {stop}×{stop} base case")
+    return stop
+
+
 def execute_abmm(
     machine: SequentialMachine,
     alt: AlternativeBasisAlgorithm,
@@ -87,10 +96,12 @@ def execute_abmm(
     """Run ABMM out-of-core; returns (C, per-phase I/O breakdown).
 
     The transforms recurse exactly as deep as the bilinear part will: the
-    cutoff size s₀ (largest s with 3s² ≤ M, bounded by ``base_size``) is
-    computed up front and used as both the transform stop size and the
-    recursion base — below s₀ everything stays in the original basis and
-    the in-cache products are plain matmuls.
+    cutoff size s₀ (:func:`abmm_stop_size`: largest s with 3s² ≤ M,
+    bounded by ``base_size``) is computed up front and used as both the
+    transform stop size and the recursion base — below s₀ everything stays
+    in the original basis and the in-cache products are plain matmuls.
+    Operands must be square, same-shaped and of power-of-two side; they are
+    validated before the first machine operation.
 
     ``level_replay=True`` replays the bilinear phase (one of the t
     isomorphic sub-problems executed per level, the rest charged — see
@@ -101,11 +112,10 @@ def execute_abmm(
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     n = A.shape[0]
-    stop = n
-    while stop > 1 and (3 * stop * stop > machine.M or (base_size and stop > base_size)):
-        stop //= 2
-    if 3 * stop * stop > machine.M:
-        raise MemoryError(f"M={machine.M} cannot hold even a {stop}×{stop} base case")
+    if A.shape != (n, n) or B.shape != (n, n):
+        raise ValueError("square, same-shaped operands required")
+    check_power_of_two(n, "n")
+    stop = abmm_stop_size(n, machine.M, base_size)
     machine.place_input("A_orig", A)
     machine.place_input("B_orig", B)
 
@@ -114,9 +124,12 @@ def execute_abmm(
     machine_basis_transform(machine, "B_orig", "B", n, alt.psi, stop)
     io_fwd = machine.io_operations - io0
 
-    from repro.execution.recursive_bilinear import _mult  # shared recursion
-
-    _mult(machine, alt.core, "A", "B", "C_t", (n, n, n), stop, "r", replay=level_replay)
+    shape = (n, n, n)
+    _hybrid_mult(
+        machine, alt.core, "A", "B", "C_t", shape,
+        hybrid_depth(alt.core, shape, machine.M, stop), 0, stop, "tiled", "r",
+        replay=level_replay,
+    )
     io_bilinear = machine.io_operations - io0 - io_fwd
 
     nu_inv = invert_base_transform(alt.nu)
@@ -133,14 +146,3 @@ def execute_abmm(
             (io_fwd + io_inv) / max(1.0, io_fwd + io_bilinear + io_inv)
         ),
     }
-
-
-def abmm_machine_multiply(*args, **kwargs):
-    """Deprecated alias of :func:`execute_abmm`."""
-    warnings.warn(
-        "abmm_machine_multiply is deprecated; use "
-        "repro.execution.execute_abmm or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_abmm(*args, **kwargs)

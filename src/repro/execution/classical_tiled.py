@@ -23,8 +23,6 @@ Two executions:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.machine.cache import LRUCache
@@ -34,8 +32,6 @@ __all__ = [
     "execute_tiled",
     "execute_lru_trace",
     "largest_tile",
-    "tiled_matmul",
-    "naive_matmul_lru_trace",
 ]
 
 #: Fast-memory tiles a blocked multiply holds at once: A, B, C and the
@@ -68,7 +64,9 @@ def execute_tiled(
 
     Loop order (i, j, k) keeps the C-tile resident across the k loop, so
     each C-tile is loaded/stored once: I/O = 2(n/b)³b² + (n/b)²b²
-    (C allocate+store) — the classical upper bound.
+    (C allocate+store) — the classical upper bound.  The loop nest is the
+    hybrid DFS's tiled leaf (:func:`repro.execution.hybrid._tiled_leaf`)
+    on (n, n, n).
 
     ``replay=True`` executes only the first of the (n/b)² identical
     C-tile passes and scales the counters by the remaining count
@@ -84,38 +82,11 @@ def execute_tiled(
     b = tile if tile is not None else largest_tile(n, machine.M)
     if n % b != 0 or TILE_FOOTPRINT * b * b > machine.M:
         raise ValueError(f"invalid tile size {b} for n={n}, M={machine.M}")
+    from repro.execution.hybrid import _tiled_leaf
+
     machine.place_input("A", A)
     machine.place_input("B", B)
-    machine.place_input("C", np.zeros((n, n)))
-    q = n // b
-    p_tile = machine.allocate("Pt", (b, b))  # charged product scratch
-    pass_reads = pass_writes = None
-    for i in range(q):
-        for j in range(q):
-            if replay and pass_reads is not None:
-                machine.charge_replayed_io(pass_reads, pass_writes, 1, label="Ct")
-                continue
-            r0, w0 = machine.words_read, machine.words_written
-            c_tile = machine.allocate("Ct", (b, b))
-            for k in range(q):
-                a = machine.load_slice(
-                    "A", np.s_[i * b : (i + 1) * b, k * b : (k + 1) * b], "At",
-                    copy=False,
-                )
-                bt = machine.load_slice(
-                    "B", np.s_[k * b : (k + 1) * b, j * b : (j + 1) * b], "Bt",
-                    copy=False,
-                )
-                with machine.compute():
-                    np.matmul(a, bt, out=p_tile)
-                    np.add(c_tile, p_tile, out=c_tile)
-                machine.free("At")
-                machine.free("Bt")
-            machine.store_slice("Ct", "C", np.s_[i * b : (i + 1) * b, j * b : (j + 1) * b])
-            machine.free("Ct")
-            pass_reads = machine.words_read - r0
-            pass_writes = machine.words_written - w0
-    machine.free("Pt")
+    _tiled_leaf(machine, "A", "B", "C", (n, n, n), replay, b)
     if replay:
         return None
     return machine.fetch_output("C")
@@ -212,25 +183,3 @@ def execute_lru_trace(
         prev_state, prev_delta = (state_addrs, state_dirty), delta
     cache.flush()
     return cache.stats()
-
-
-def tiled_matmul(*args, **kwargs):
-    """Deprecated alias of :func:`execute_tiled`."""
-    warnings.warn(
-        "tiled_matmul is deprecated; use "
-        "repro.execution.execute_tiled or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_tiled(*args, **kwargs)
-
-
-def naive_matmul_lru_trace(*args, **kwargs):
-    """Deprecated alias of :func:`execute_lru_trace`."""
-    warnings.warn(
-        "naive_matmul_lru_trace is deprecated; use "
-        "repro.execution.execute_lru_trace or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_lru_trace(*args, **kwargs)

@@ -1,4 +1,4 @@
-"""Hybrid fast/classical out-of-core matrix multiplication.
+"""Hybrid fast/classical out-of-core matrix multiplication — the one DFS.
 
 De Stefani (arXiv:1904.12804) studies *hybrid* algorithms: run the fast
 ⟨n,m,p;t⟩ recursion for the top ℓ levels, then finish every sub-problem
@@ -7,37 +7,37 @@ cutoff ℓ and in *leading constants*, not exponents — Smith et al.
 (arXiv:1702.02017) pin the classical constant at 2n³/√M, which the
 ``resident`` leaf below attains up to an O(1/√M) factor.
 
-:func:`execute_hybrid` mirrors
-:func:`~repro.execution.recursive_bilinear.execute_recursive_bilinear`
-exactly for ``level < cutoff`` (streamed encoders, DFS, streamed decoder,
-the same level-replay charging) and switches to a classical leaf at
+:func:`_hybrid_mult` is the only sequential ⟨n,m,p;t⟩ recursion in
+:mod:`repro.execution`: streamed encoders, DFS, streamed decoder and the
+level-replay charging for ``level < cutoff``, a classical leaf at
 ``level == cutoff``:
 
-* ``leaf="tiled"`` — the rectangular generalization of
-  :func:`~repro.execution.classical_tiled.execute_tiled` (four b×b tiles,
-  4b² ≤ M).  At ``cutoff=0`` on a square problem that exceeds fast memory
-  the op stream is *word-identical* to ``execute_tiled`` — the anchor the
-  Hypothesis property suite pins.
+* ``leaf="tiled"`` — four b×b tiles, 4b² ≤ M (:func:`_tiled_leaf`);
 * ``leaf="resident"`` — the Smith et al. constant-optimal blocking: a
   C-block of side b with (b+1)² ≤ M stays resident while A-columns and
   B-rows stream through as rank-1 updates.  Reads = 2·R·K·C/b ≈ 2n³/√M,
   writes = R·C — the leading constant 2 of arXiv:1702.02017 instead of the
   tiled leaf's 4.
 
-The other anchor: once ``cutoff ≥`` :func:`hybrid_depth` every path hits
-the cache-fit base case (R·K + K·C + R·C ≤ M) *before* the cutoff, and the
-execution is word-identical to ``execute_recursive_bilinear``.  The
-cache-fit check deliberately precedes the cutoff check — a sub-problem
-that fits entirely in fast memory is solved in one pass no matter the
-strategy — so ``cutoff=0`` equals the pure tiled execution exactly when
-the top problem does not fit in fast memory (3n² > M; below that every
-strategy degenerates to the same single pass, modulo tile scratch).
+The two classical ends of the family are presets of this code:
 
-All of this is threaded through the Schedule IR: ``seq_io`` variant
-``hybrid`` lowers op-for-op (``repro.schedule.lower._lower_hybrid``) and
-has a symbolic closed form memoized on (shape, remaining levels)
-(``repro.schedule.symbolic._hybrid_costs``), certified word-identical by
-the falsify hybrid probes.
+* :func:`~repro.execution.recursive_bilinear.execute_recursive_bilinear`
+  is the DFS at ``cutoff =`` :func:`hybrid_depth`: every path hits the
+  cache-fit base case (R·K + K·C + R·C ≤ M) *before* the cutoff.
+* :func:`~repro.execution.classical_tiled.execute_tiled` is
+  :func:`_tiled_leaf` on (n, n, n).  The cache-fit check deliberately
+  precedes the cutoff check — a sub-problem that fits entirely in fast
+  memory is solved in one pass no matter the strategy — so
+  ``execute_hybrid(cutoff=0)`` equals it exactly when the top problem
+  does not fit in fast memory (3n² > M).
+* :func:`~repro.execution.abmm_exec.execute_abmm` runs the DFS on the
+  transformed operands.
+
+The Schedule IR has one mirror of each: the lowering
+``repro.schedule.lower._lower_hybrid`` emits this DFS op-for-op, and the
+symbolic closed form ``repro.schedule.symbolic._hybrid_costs`` is
+memoized on (shape, remaining levels); the falsify probes certify all
+three word-identical.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ __all__ = [
     "HYBRID_LEAVES",
 ]
 
-#: Classical leaf schemes: ``tiled`` (4-tile blocked, the execute_tiled
-#: mirror) and ``resident`` (Smith et al. resident-C rank-1 streaming).
+#: Classical leaf schemes: ``tiled`` (4-tile blocked; ``execute_tiled`` is
+#: this leaf on (n, n, n)) and ``resident`` (Smith et al. resident-C rank-1
+#: streaming).
 HYBRID_LEAVES = ("tiled", "resident")
 
 
@@ -156,11 +157,18 @@ def _tiled_leaf(
     c_name: str,
     shape: tuple[int, int, int],
     replay: bool,
+    b: int | None = None,
 ) -> None:
-    """Rectangular mirror of ``execute_tiled`` on named slow arrays."""
+    """Blocked classical (R×K)·(K×C) on named slow arrays.
+
+    Tile side ``b`` defaults to :func:`largest_leaf_tile`.  Loop order
+    (i, j, k) keeps the C-tile resident across the k loop; with ``replay``
+    only the first C-tile pass runs and the rest are charged.
+    """
     R, K, C = shape
     M = machine.M
-    b = largest_leaf_tile(shape, M)
+    if b is None:
+        b = largest_leaf_tile(shape, M)
     if TILE_FOOTPRINT * b * b > M:
         raise ValueError(f"invalid tile size {b} for shape={shape}, M={M}")
     machine.alloc_slow(c_name, (R, C))
@@ -267,7 +275,12 @@ def _hybrid_mult(
     tag: str,
     replay: bool = False,
 ) -> None:
-    """The ``_mult`` DFS with a classical leaf grafted in at ``cutoff``."""
+    """The ⟨n,m,p;t⟩ DFS, with a classical ``leaf`` at ``level == cutoff``.
+
+    The cache-fit base case takes precedence over the cutoff.  ``tag``
+    names this call's slow temporaries; ``replay`` executes one of the t
+    isomorphic sub-problems per level and charges the rest.
+    """
     R, K, C = shape
     if _is_base(shape, machine.M, base_size):
         a = machine.load(a_name, "_a", copy=False)
@@ -371,34 +384,64 @@ def execute_hybrid(
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     if leaf not in HYBRID_LEAVES:
         raise ValueError(f"unknown hybrid leaf {leaf!r} (choose from {HYBRID_LEAVES})")
+    A, B, shape = _operands(alg, A, B, square=cutoff > 0)
+    if base_size is None:
+        base_size = max(shape)
+    validate_hybrid_shapes(alg, shape, machine.M, base_size, cutoff)
+    return _run_dfs(
+        machine, alg, A, B, shape, int(cutoff), base_size, leaf,
+        level_replay, cross_check,
+    )
+
+
+def _operands(
+    alg: BilinearAlgorithm, A: np.ndarray, B: np.ndarray, square: bool
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+    """float64 operands and their (R, K, C) shape; a square algorithm
+    needs equal sides when ``square`` (any fast level runs)."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError("conforming 2-d operands required")
     shape = (A.shape[0], A.shape[1], B.shape[1])
-    if alg.is_square and cutoff > 0 and not (shape[0] == shape[1] == shape[2]):
+    if square and alg.is_square and not (shape[0] == shape[1] == shape[2]):
         raise ValueError("square, same-shaped operands required")
-    if base_size is None:
-        base_size = max(shape)
-    validate_hybrid_shapes(alg, shape, machine.M, base_size, cutoff)
-    machine.place_input("A", A)
-    machine.place_input("B", B)
-    _hybrid_mult(
-        machine, alg, "A", "B", "C", shape, int(cutoff), 0, base_size, leaf,
-        "r", replay=level_replay,
-    )
+    return A, B, shape
+
+
+def _run_dfs(
+    machine: SequentialMachine,
+    alg: BilinearAlgorithm,
+    A: np.ndarray,
+    B: np.ndarray,
+    shape: tuple[int, int, int],
+    cutoff: int,
+    base_size: int,
+    leaf: str,
+    level_replay: bool,
+    cross_check: bool,
+) -> np.ndarray | None:
+    """Place A, B and run :func:`_hybrid_mult` on validated operands.
+
+    Returns C, or ``None`` under ``level_replay``; ``cross_check`` then
+    reruns in full on a shadow machine and raises if a counter differs.
+    """
+    def run(m: SequentialMachine, replay: bool) -> None:
+        m.place_input("A", A)
+        m.place_input("B", B)
+        _hybrid_mult(
+            m, alg, "A", "B", "C", shape, cutoff, 0, base_size, leaf, "r",
+            replay=replay,
+        )
+
+    run(machine, level_replay)
     if not level_replay:
         return machine.fetch_output("C")
     if cross_check:
         ref = SequentialMachine(
             machine.M, read_cost=machine.read_cost, write_cost=machine.write_cost
         )
-        ref.place_input("A", A)
-        ref.place_input("B", B)
-        _hybrid_mult(
-            ref, alg, "A", "B", "C", shape, int(cutoff), 0, base_size, leaf,
-            "r", replay=False,
-        )
+        run(ref, False)
         mismatches = {
             key: (got, want)
             for key, got, want in [

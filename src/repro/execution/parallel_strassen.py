@@ -19,7 +19,6 @@ n²/P^{2/ω₀}.  Together they trace Theorem 1.1's max{·,·}.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "ParallelRunStats",
     "execute_parallel_bfs",
     "simulate_bfs_comm",
-    "parallel_strassen_bfs",
 ]
 
 
@@ -258,14 +256,3 @@ def execute_parallel_bfs(
         P=P, n=n, levels=levels, sent=sent, received=received,
         local_io_per_proc=local_io,
     )
-
-
-def parallel_strassen_bfs(*args, **kwargs):
-    """Deprecated alias of :func:`execute_parallel_bfs`."""
-    warnings.warn(
-        "parallel_strassen_bfs is deprecated; use "
-        "repro.execution.execute_parallel_bfs or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_parallel_bfs(*args, **kwargs)

@@ -17,6 +17,13 @@ respectively — the (nᴸ×mᴸ)·(mᴸ×pᴸ) recursion of Lemma 2.2, whose I/
 recurrence gives the Θ((n_eff/√M)^{ω₀}·M) upper bound with
 n_eff = (R·K·C)^{1/3} and ω₀ = 3·log_{nmp} t.
 
+The DFS itself is written once, in :mod:`repro.execution.hybrid`:
+:func:`execute_recursive_bilinear` is its preset with the classical
+cutoff at :func:`~repro.execution.hybrid.hybrid_depth`, where every path
+has already reached the cache-fit base case.  This module keeps the
+pieces both share — the streamed linear combination and the shape
+recursion (:func:`_is_base`, :func:`_split_shape`).
+
 Level-replay mode (``execute_recursive_bilinear(..., level_replay=True)``)
 exploits that the t sub-problems of a level are isomorphic: their I/O is
 value-independent and identical, so the machine executes the encoders for
@@ -30,8 +37,6 @@ from Θ(tᴸ) recursive calls to Θ(L·t) at depth L.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.algorithms.bilinear import BilinearAlgorithm
@@ -40,8 +45,6 @@ from repro.machine.sequential import SequentialMachine
 __all__ = [
     "execute_recursive_bilinear",
     "stream_linear_combination",
-    "validate_recursion_shapes",
-    "recursive_fast_matmul",
 ]
 
 
@@ -50,7 +53,6 @@ def stream_linear_combination(
     sources: list[tuple[str, int, int, float]],
     dst: tuple[str, int, int],
     shape: int | tuple[int, int],
-    reserve: int = 0,
 ) -> None:
     """dst_block = Σ coeff·src_block, streamed through fast memory.
 
@@ -59,14 +61,12 @@ def stream_linear_combination(
     common block shape, an int h for h×h blocks or a (rows, cols) pair.
     Only two buffers are ever resident — the accumulator and the current
     source chunk, combined in place — so row chunks are sized to the true
-    footprint 2·chunk_words + reserve ≤ M, independent of the fan-in.
-    (The old budget divided by len(sources)+1 as if every source chunk
-    stayed resident, degrading large fan-ins to needlessly tiny chunks.)
+    footprint 2·chunk_words ≤ M, independent of the fan-in.
     """
     if not sources:
         raise ValueError("empty linear combination")
     hr, hc = (shape, shape) if isinstance(shape, int) else shape
-    chunk_words = (machine.M - reserve) // 2
+    chunk_words = machine.M // 2
     if chunk_words < 1:
         raise MemoryError(
             f"M={machine.M} too small to stream {len(sources)}-term combinations"
@@ -123,104 +123,6 @@ def _split_shape(
     return (R // alg.n, K // alg.m, C // alg.p)
 
 
-def validate_recursion_shapes(
-    alg: BilinearAlgorithm,
-    shape: tuple[int, int, int],
-    M: int,
-    base_size: int,
-) -> None:
-    """Walk the recursion's shape sequence, raising the error the DFS would.
-
-    Called before any machine side effect so a rejected point leaves no
-    partial I/O counters or trace records (the executors used to discover
-    divisibility failures mid-recursion, after metrics had accumulated).
-    """
-    while not _is_base(shape, M, base_size):
-        shape = _split_shape(alg, shape)
-
-
-def _mult(
-    machine: SequentialMachine,
-    alg: BilinearAlgorithm,
-    a_name: str,
-    b_name: str,
-    c_name: str,
-    shape: tuple[int, int, int],
-    base_size: int,
-    tag: str,
-    replay: bool = False,
-) -> None:
-    R, K, C = shape
-    if _is_base(shape, machine.M, base_size):
-        a = machine.load(a_name, "_a", copy=False)
-        b = machine.load(b_name, "_b", copy=False)
-        c = machine.allocate("_c", (R, C))
-        with machine.compute():
-            np.matmul(a, b, out=c)
-        machine.store("_c", c_name)
-        machine.free("_a")
-        machine.free("_b")
-        machine.free("_c")
-        return
-    hr, hk, hc = _split_shape(alg, shape)
-    machine.alloc_slow(c_name, (R, C))
-    prod_names: list[str] = []
-    sub_reads = sub_writes = None
-    for l in range(alg.t):
-        ah = f"{tag}.A{l}"
-        bh = f"{tag}.B{l}"
-        ml = f"{tag}.M{l}"
-        machine.alloc_slow(ah, (hr, hk))
-        machine.alloc_slow(bh, (hk, hc))
-        stream_linear_combination(
-            machine,
-            [
-                (a_name, (q // alg.m) * hr, (q % alg.m) * hk, float(alg.U[l, q]))
-                for q in np.nonzero(alg.U[l])[0]
-            ],
-            (ah, 0, 0),
-            (hr, hk),
-        )
-        stream_linear_combination(
-            machine,
-            [
-                (b_name, (q // alg.p) * hk, (q % alg.p) * hc, float(alg.V[l, q]))
-                for q in np.nonzero(alg.V[l])[0]
-            ],
-            (bh, 0, 0),
-            (hk, hc),
-        )
-        if replay and sub_reads is not None:
-            # Isomorphic to the measured sub-problem: same shapes, same
-            # recursion, value-independent I/O.  Charge, don't execute.
-            machine.alloc_slow(ml, (hr, hc))
-            machine.charge_replayed_io(sub_reads, sub_writes, 1, label=ml)
-        else:
-            r0, w0 = machine.words_read, machine.words_written
-            _mult(
-                machine, alg, ah, bh, ml, (hr, hk, hc), base_size,
-                f"{tag}.{l}", replay=replay,
-            )
-            if replay:
-                sub_reads = machine.words_read - r0
-                sub_writes = machine.words_written - w0
-        machine.drop_slow(ah)
-        machine.drop_slow(bh)
-        prod_names.append(ml)
-    for q in range(alg.n * alg.p):
-        stream_linear_combination(
-            machine,
-            [
-                (prod_names[int(l)], 0, 0, float(alg.W[q, l]))
-                for l in np.nonzero(alg.W[q])[0]
-            ],
-            (c_name, (q // alg.p) * hr, (q % alg.p) * hc),
-            (hr, hc),
-        )
-    for ml in prod_names:
-        machine.drop_slow(ml)
-
-
 def execute_recursive_bilinear(
     machine: SequentialMachine,
     alg: BilinearAlgorithm,
@@ -250,50 +152,15 @@ def execute_recursive_bilinear(
     full execution on a shadow machine and raises if any counter differs;
     use on small n to certify the replay path.
     """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError("conforming 2-d operands required")
-    shape = (A.shape[0], A.shape[1], B.shape[1])
-    if alg.is_square and not (shape[0] == shape[1] == shape[2]):
-        raise ValueError("square, same-shaped operands required")
+    from repro.execution.hybrid import _operands, _run_dfs, hybrid_depth
+
+    A, B, shape = _operands(alg, A, B, square=True)
     if base_size is None:
         base_size = max(shape)  # cutoff decided purely by the cache-fit test
-    validate_recursion_shapes(alg, shape, machine.M, base_size)
-    machine.place_input("A", A)
-    machine.place_input("B", B)
-    _mult(machine, alg, "A", "B", "C", shape, base_size, "r", replay=level_replay)
-    if not level_replay:
-        return machine.fetch_output("C")
-    if cross_check:
-        ref = SequentialMachine(
-            machine.M, read_cost=machine.read_cost, write_cost=machine.write_cost
-        )
-        ref.place_input("A", A)
-        ref.place_input("B", B)
-        _mult(ref, alg, "A", "B", "C", shape, base_size, "r", replay=False)
-        mismatches = {
-            key: (got, want)
-            for key, got, want in [
-                ("reads", machine.words_read, ref.words_read),
-                ("writes", machine.words_written, ref.words_written),
-                ("peak_fast", machine.peak_fast_words, ref.peak_fast_words),
-            ]
-            if got != want
-        }
-        if mismatches:
-            raise AssertionError(
-                f"level-replay counters diverge from full execution: {mismatches}"
-            )
-    return None
-
-
-def recursive_fast_matmul(*args, **kwargs):
-    """Deprecated alias of :func:`execute_recursive_bilinear`."""
-    warnings.warn(
-        "recursive_fast_matmul is deprecated; use "
-        "repro.execution.execute_recursive_bilinear or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
+    # Past the depth every path is cache-fit before the cutoff, so the
+    # hybrid DFS is the pure-fast one; the walk also checks divisibility.
+    cutoff = hybrid_depth(alg, shape, machine.M, base_size)
+    return _run_dfs(
+        machine, alg, A, B, shape, cutoff, base_size, "tiled",
+        level_replay, cross_check,
     )
-    return execute_recursive_bilinear(*args, **kwargs)

@@ -4,10 +4,8 @@ One entry point replaces the five divergent executor signatures: callers
 build a :class:`~repro.schedule.spec.ScheduleSpec` (or hand in an
 already-lowered :class:`~repro.schedule.ir.ScheduleIR`), pick a backend
 by name, and get a :class:`ScheduleReport` with the workload's exact
-counters.  The legacy entrypoints (``recursive_fast_matmul``,
-``tiled_matmul``, ``naive_matmul_lru_trace``, ``abmm_machine_multiply``,
-``parallel_strassen_bfs``) survive as deprecated shims over their
-renamed ``execute_*`` implementations; new code goes through here.
+counters.  The physical executors (``repro.execution.execute_*``) remain
+the ground truth every backend is certified against.
 
 Backends
 --------

@@ -10,18 +10,25 @@ differential harness and tests/schedule/test_lowering.py) is:
     *word-identical* (reads, writes, peak_fast) to running the physical
     executor on a :class:`~repro.machine.sequential.SequentialMachine`.
 
-The mirrors:
+The sequential ⟨n,m,p;t⟩ recursion is lowered once, by
+:func:`_lower_hybrid` — the mirror of the one executor DFS
+``repro.execution.hybrid._hybrid_mult`` (streamed linear combinations,
+the cache-fit base case, level-replay REPLAY records, a classical leaf at
+the cutoff).  The ``seq_io`` variants are its presets, as the executors
+are:
 
-* ``seq_io`` / variant ``recursive`` — :func:`repro.execution.
-  recursive_bilinear.execute_recursive_bilinear` (DFS with streamed
-  linear combinations; level-replay emits REPLAY expansion records);
-* ``seq_io`` / variant ``tiled`` — :func:`repro.execution.
-  classical_tiled.execute_tiled` (blocked classical, C-tile replay);
-* ``seq_io`` / variant ``hybrid`` — :func:`repro.execution.hybrid.
-  execute_hybrid` (fast recursion above the cutoff level, classical
-  tiled / resident-C leaves below — De Stefani's hybrid algorithms);
-* ``seq_io`` / variant ``abmm`` — :func:`repro.execution.abmm_exec.
-  execute_abmm` (basis transforms + the shared bilinear recursion);
+* ``hybrid`` — :func:`repro.execution.hybrid.execute_hybrid`: the DFS
+  with the spec's cutoff and tiled / resident-C leaf (De Stefani's hybrid
+  algorithms);
+* ``recursive`` — :func:`repro.execution.recursive_bilinear.
+  execute_recursive_bilinear`: the DFS at cutoff ``hybrid_depth``;
+* ``tiled`` — :func:`repro.execution.classical_tiled.execute_tiled`: the
+  tiled leaf on (n, n, n);
+* ``abmm`` — :func:`repro.execution.abmm_exec.execute_abmm`: basis
+  transforms around the DFS, its ops tagged by phase.
+
+The non-matmul kinds:
+
 * ``lru_trace`` — one TRACE op per i-row of the naive matmul trace;
 * ``pebble`` — a 1:1 move translation of a red-blue pebbling schedule;
 * ``parallel_comm`` — owner-map simulation of the BFS-parallel execution
@@ -33,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.schedule.ir import Op, OpKind, ScheduleIR
-from repro.schedule.spec import ScheduleSpec
+from repro.schedule.spec import ScheduleSpec, _dfs_preset
 
 __all__ = ["lower", "lower_seq_io", "lower_lru_trace", "lower_pebble",
            "lower_parallel_comm"]
@@ -64,7 +71,6 @@ def _lower_stream(
     shape: int | tuple[int, int],
     M: int,
     level: int,
-    reserve: int = 0,
     tag: str | None = None,
 ) -> None:
     """Mirror of ``stream_linear_combination``: chunked dst = Σ coeff·src.
@@ -77,7 +83,7 @@ def _lower_stream(
     if n_sources == 0:
         raise ValueError("empty linear combination")
     hr, hc = (shape, shape) if isinstance(shape, int) else shape
-    chunk_words = (M - reserve) // 2
+    chunk_words = M // 2
     if chunk_words < 1:
         raise MemoryError(
             f"M={M} too small to stream {n_sources}-term combinations"
@@ -99,61 +105,6 @@ def _lower_stream(
             ir.emit(OpKind.FREE, "_acc", words, level, tag=tag)
             c += cols
         r += rows
-
-
-def _lower_mult(
-    ir: ScheduleIR,
-    alg,
-    shape: tuple[int, int, int],
-    M: int,
-    base_size: int,
-    level: int,
-    replay: bool,
-    tag: str | None = None,
-) -> None:
-    """Mirror of ``recursive_bilinear._mult`` (the shared DFS recursion).
-
-    ``shape`` is the (R, K, C) operand triple of the (R×K)·(K×C) product —
-    equal sides for square algorithms, divided by (n, m, p) per level for
-    rectangular base cases.
-    """
-    from repro.execution.recursive_bilinear import _is_base, _split_shape
-
-    R, K, C = shape
-    if _is_base(shape, M, base_size):
-        ir.emit(OpKind.LOAD, "_a", R * K, level, tag=tag)
-        ir.emit(OpKind.LOAD, "_b", K * C, level, tag=tag)
-        ir.emit(OpKind.ALLOC, "_c", R * C, level, tag=tag)
-        ir.emit(OpKind.COMPUTE, "matmul", 0, level, tag=tag)
-        ir.emit(OpKind.STORE, "_c", R * C, level, tag=tag)
-        ir.emit(OpKind.FREE, "_a", R * K, level, tag=tag)
-        ir.emit(OpKind.FREE, "_b", K * C, level, tag=tag)
-        ir.emit(OpKind.FREE, "_c", R * C, level, tag=tag)
-        return
-    hr, hk, hc = _split_shape(alg, shape)
-    sub_span: tuple[int, int] | None = None
-    for l in range(alg.t):
-        _lower_stream(
-            ir, int(np.count_nonzero(alg.U[l])), (hr, hk), M, level, tag=tag
-        )
-        _lower_stream(
-            ir, int(np.count_nonzero(alg.V[l])), (hk, hc), M, level, tag=tag
-        )
-        if replay and sub_span is not None:
-            # Isomorphic to the measured sub-problem (Lemma 2.2): expand by
-            # reference instead of lowering another copy of the subtree.
-            ir.emit(OpKind.REPLAY, f"M{l}", 0, level, index=l,
-                    span=sub_span, repeats=1, tag=tag)
-        else:
-            i0 = len(ir.ops)
-            _lower_mult(ir, alg, (hr, hk, hc), M, base_size, level + 1, replay,
-                        tag=tag)
-            if replay:
-                sub_span = (i0, len(ir.ops))
-    for q in range(alg.n * alg.p):
-        _lower_stream(
-            ir, int(np.count_nonzero(alg.W[q])), (hr, hc), M, level, tag=tag
-        )
 
 
 def _lower_leaf_tiled(
@@ -235,25 +186,29 @@ def _lower_hybrid(
     level: int,
     replay: bool,
     leaf: str,
+    tag: str | None = None,
 ) -> None:
     """Mirror of ``hybrid._hybrid_mult``: the DFS with classical leaves.
 
-    Identical to :func:`_lower_mult` above the cutoff (including the
-    cache-fit base case, which takes precedence); at ``level == cutoff``
-    the classical leaf lowering is emitted instead of recursing.
+    ``shape`` is the (R, K, C) operand triple of the (R×K)·(K×C) product —
+    equal sides for square algorithms, divided by (n, m, p) per level for
+    rectangular base cases.  The cache-fit base case takes precedence over
+    the cutoff; at ``level == cutoff`` the classical leaf lowering is
+    emitted instead of recursing.  ``tag`` labels the recursion's own ops
+    (ABMM's bilinear phase, whose cutoff is never reached).
     """
     from repro.execution.recursive_bilinear import _is_base, _split_shape
 
     R, K, C = shape
     if _is_base(shape, M, base_size):
-        ir.emit(OpKind.LOAD, "_a", R * K, level)
-        ir.emit(OpKind.LOAD, "_b", K * C, level)
-        ir.emit(OpKind.ALLOC, "_c", R * C, level)
-        ir.emit(OpKind.COMPUTE, "matmul", 0, level)
-        ir.emit(OpKind.STORE, "_c", R * C, level)
-        ir.emit(OpKind.FREE, "_a", R * K, level)
-        ir.emit(OpKind.FREE, "_b", K * C, level)
-        ir.emit(OpKind.FREE, "_c", R * C, level)
+        ir.emit(OpKind.LOAD, "_a", R * K, level, tag=tag)
+        ir.emit(OpKind.LOAD, "_b", K * C, level, tag=tag)
+        ir.emit(OpKind.ALLOC, "_c", R * C, level, tag=tag)
+        ir.emit(OpKind.COMPUTE, "matmul", 0, level, tag=tag)
+        ir.emit(OpKind.STORE, "_c", R * C, level, tag=tag)
+        ir.emit(OpKind.FREE, "_a", R * K, level, tag=tag)
+        ir.emit(OpKind.FREE, "_b", K * C, level, tag=tag)
+        ir.emit(OpKind.FREE, "_c", R * C, level, tag=tag)
         return
     if level >= cutoff:
         lower_leaf = _lower_leaf_tiled if leaf == "tiled" else _lower_leaf_resident
@@ -262,50 +217,24 @@ def _lower_hybrid(
     hr, hk, hc = _split_shape(alg, shape)
     sub_span: tuple[int, int] | None = None
     for l in range(alg.t):
-        _lower_stream(ir, int(np.count_nonzero(alg.U[l])), (hr, hk), M, level)
-        _lower_stream(ir, int(np.count_nonzero(alg.V[l])), (hk, hc), M, level)
+        _lower_stream(ir, int(np.count_nonzero(alg.U[l])), (hr, hk), M, level,
+                      tag=tag)
+        _lower_stream(ir, int(np.count_nonzero(alg.V[l])), (hk, hc), M, level,
+                      tag=tag)
         if replay and sub_span is not None:
+            # Isomorphic to the measured sub-problem (Lemma 2.2): expand by
+            # reference instead of lowering another copy of the subtree.
             ir.emit(OpKind.REPLAY, f"M{l}", 0, level, index=l,
-                    span=sub_span, repeats=1)
+                    span=sub_span, repeats=1, tag=tag)
         else:
             i0 = len(ir.ops)
             _lower_hybrid(ir, alg, (hr, hk, hc), M, cutoff, base_size,
-                          level + 1, replay, leaf)
+                          level + 1, replay, leaf, tag)
             if replay:
                 sub_span = (i0, len(ir.ops))
     for q in range(alg.n * alg.p):
-        _lower_stream(ir, int(np.count_nonzero(alg.W[q])), (hr, hc), M, level)
-
-
-def _lower_tiled(ir: ScheduleIR, n: int, M: int, replay: bool) -> None:
-    """Mirror of ``classical_tiled.execute_tiled`` (blocked classical)."""
-    from repro.execution.classical_tiled import TILE_FOOTPRINT, largest_tile
-
-    b = largest_tile(n, M)
-    if n % b != 0 or TILE_FOOTPRINT * b * b > M:
-        raise ValueError(f"invalid tile size {b} for n={n}, M={M}")
-    q = n // b
-    w = b * b
-    ir.emit(OpKind.ALLOC, "Pt", w, 0)
-    pass_span: tuple[int, int] | None = None
-    for i in range(q):
-        for j in range(q):
-            if replay and pass_span is not None:
-                ir.emit(OpKind.REPLAY, "Ct", 0, 0, index=i * q + j,
-                        span=pass_span, repeats=1)
-                continue
-            i0 = len(ir.ops)
-            ir.emit(OpKind.ALLOC, "Ct", w, 0, index=i * q + j)
-            for _k in range(q):
-                ir.emit(OpKind.LOAD, "At", w, 0)
-                ir.emit(OpKind.LOAD, "Bt", w, 0)
-                ir.emit(OpKind.COMPUTE, "matmul", 0, 0)
-                ir.emit(OpKind.FREE, "At", w, 0)
-                ir.emit(OpKind.FREE, "Bt", w, 0)
-            ir.emit(OpKind.STORE, "Ct", w, 0, index=i * q + j)
-            ir.emit(OpKind.FREE, "Ct", w, 0)
-            pass_span = (i0, len(ir.ops))
-    ir.emit(OpKind.FREE, "Pt", w, 0)
+        _lower_stream(ir, int(np.count_nonzero(alg.W[q])), (hr, hc), M, level,
+                      tag=tag)
 
 
 def _lower_basis_transform(
@@ -332,26 +261,20 @@ def _lower_basis_transform(
         level += 1
 
 
-def abmm_stop_size(n: int, M: int, base_size: int | None) -> int:
-    """The ABMM cutoff: largest power-of-two s with 3s² ≤ M (≤ base_size)."""
-    stop = n
-    while stop > 1 and (3 * stop * stop > M or (base_size and stop > base_size)):
-        stop //= 2
-    if 3 * stop * stop > M:
-        raise MemoryError(f"M={M} cannot hold even a {stop}×{stop} base case")
-    return stop
-
-
 def _lower_abmm(
     ir: ScheduleIR, alt, n: int, M: int, base_size: int | None, replay: bool
 ) -> None:
     """Mirror of ``abmm_exec.execute_abmm`` (transforms + bilinear core)."""
     from repro.basis.transform import invert_base_transform
+    from repro.execution.abmm_exec import abmm_stop_size
+    from repro.execution.hybrid import hybrid_depth
 
     stop = abmm_stop_size(n, M, base_size)
     _lower_basis_transform(ir, n, alt.phi, stop, M, tag="transform_forward")
     _lower_basis_transform(ir, n, alt.psi, stop, M, tag="transform_forward")
-    _lower_mult(ir, alt.core, (n, n, n), M, stop, 0, replay, tag="bilinear")
+    shape = (n, n, n)
+    _lower_hybrid(ir, alt.core, shape, M, hybrid_depth(alt.core, shape, M, stop),
+                  stop, 0, replay, "tiled", tag="bilinear")
     nu_inv = invert_base_transform(alt.nu)
     _lower_basis_transform(ir, n, nu_inv, stop, M, tag="transform_inverse")
 
@@ -362,27 +285,14 @@ def lower_seq_io(spec: ScheduleSpec) -> ScheduleIR:
     n, M = p["n"], p["M"]
     variant = p.get("variant", "recursive")
     replay = bool(p.get("replay", True))
-    base_size = p.get("base_size")
     ir = ScheduleIR(kind="seq_io", params=dict(p))
     if variant == "tiled":
-        _lower_tiled(ir, n, M, replay)
+        _lower_leaf_tiled(ir, (n, n, n), M, 0, replay)
     elif variant == "abmm":
-        _lower_abmm(ir, spec.payload["alg"], n, M, base_size, replay)
-    elif variant == "recursive":
-        from repro.algorithms.bilinear import recursion_shape
-
-        alg = spec.payload["alg"]
-        shape = recursion_shape(alg, n)
-        bs = max(shape) if base_size is None else base_size
-        _lower_mult(ir, alg, shape, M, bs, 0, replay)
-    elif variant == "hybrid":
-        from repro.algorithms.bilinear import recursion_shape
-
-        alg = spec.payload["alg"]
-        shape = recursion_shape(alg, n)
-        bs = max(shape) if base_size is None else base_size
-        _lower_hybrid(ir, alg, shape, M, int(p["cutoff"]), bs, 0, replay,
-                      p.get("leaf", "tiled"))
+        _lower_abmm(ir, spec.payload["alg"], n, M, p.get("base_size"), replay)
+    elif variant in ("recursive", "hybrid"):
+        alg, shape, cutoff, bs, leaf = _dfs_preset(spec)
+        _lower_hybrid(ir, alg, shape, M, cutoff, bs, 0, replay, leaf)
     else:
         raise KeyError(f"unknown seq_io variant {variant!r}")
     return ir

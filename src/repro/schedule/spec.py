@@ -58,6 +58,23 @@ class ScheduleSpec:
         return lower(self)
 
 
+def _dfs_preset(spec: ScheduleSpec) -> tuple:
+    """(alg, shape, cutoff, base_size, leaf) of a ``recursive`` or
+    ``hybrid`` seq_io spec — one DFS, with ``recursive`` its preset at
+    cutoff ``hybrid_depth`` (the executors' rule)."""
+    from repro.algorithms.bilinear import recursion_shape
+    from repro.execution.hybrid import hybrid_depth
+
+    p = spec.params
+    alg = spec.payload["alg"]
+    shape = recursion_shape(alg, int(p["n"]))
+    base_size = max(shape) if p.get("base_size") is None else int(p["base_size"])
+    if p.get("variant", "recursive") == "recursive":
+        cutoff = hybrid_depth(alg, shape, int(p["M"]), base_size)
+        return alg, shape, cutoff, base_size, "tiled"
+    return alg, shape, int(p["cutoff"]), base_size, p.get("leaf", "tiled")
+
+
 def _resolve_seq_alg(alg):
     """Classify a seq_io algorithm reference → (variant, live object).
 

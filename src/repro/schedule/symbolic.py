@@ -10,21 +10,26 @@ even the replay-lowered IR costs thousands of ops and the explicit-CDAG
 path caps out near n ≈ 32.
 
 Closed forms (word-exact mirrors of the lowered schedules, certified by
-the ``repro falsify`` backend probes):
+the ``repro falsify`` backend probes).  One recurrence,
+:func:`_hybrid_costs`, mirrors the one executor DFS; the ``seq_io``
+variants are its presets, as the executors are:
 
-* recursive bilinear, cutoff s₀ (first s with 3s² ≤ M, ≤ base_size):
-    reads(s)  = t·reads(s/d)  + (s/d)²·(nnz U + nnz V + nnz W)
-    writes(s) = t·writes(s/d) + (s/d)²·(2t + d²)
-    base: (2s₀², s₀², peak 3s₀²);  stream peak 2·chunk(s/d) with
-    chunk(h) = min(max(1, (M//2)//h), h) · (h if M//2 ≥ h else M//2)
-* tiled classical, tile b = largest_tile(n, M), q = n/b:
-    reads 2q³b², writes q²b², peak 4b²
-* hybrid (fast above cutoff ℓ, classical leaves below): the recursive
-  recurrence for ℓ levels, then per-leaf classical counts — tiled leaf
-  (2qᵣq_cq_k b², qᵣq_c b², 4b²) or resident-C leaf (2RKC/b, RC,
-  b² + b + cw(1+b)) — memoized on (shape, remaining levels)
+* hybrid (fast above cutoff ℓ, classical leaves below), memoized on
+  (shape, remaining levels).  Above the cutoff, square case (d = base
+  dim, h = s/d):
+    reads(s)  = t·reads(h)  + h²·(nnz U + nnz V + nnz W)
+    writes(s) = t·writes(h) + h²·(2t + d²)
+  cache-fit base (R·K + K·C + R·C ≤ M, first): (RK + KC, RC, peak
+  RK + KC + RC); stream peak 2·chunk(h) with
+  chunk(h) = min(max(1, (M//2)//h), h) · (h if M//2 ≥ h else M//2);
+  at the cutoff, :func:`_leaf_costs` — tiled leaf, tile
+  b = largest_leaf_tile: (2qᵣq_cq_k b², qᵣq_c b², 4b²), or resident-C
+  leaf (2RKC/b, RC, b² + b + cw(1+b))
+* recursive bilinear: the hybrid recurrence at cutoff ``hybrid_depth``
+  (the cache-fit base case is reached on every path first)
+* tiled classical: the tiled leaf on (n, n, n)
 * ABMM: per transform level s (n down to s₀): (n/s)²·Σ_q₂ nnz(row q₂)·(s/2)²
-  reads and n² writes, plus the bilinear recurrence at cutoff s₀
+  reads and n² writes, plus the recursive recurrence at cutoff s₀
 * LRU trace: the exact periodic-state extrapolation — rows are simulated
   until the cache state provably cycles, then the remaining n − O(1) rows
   are charged in closed form (same counters as the full simulation)
@@ -38,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.schedule.ir import BackendUnsupported
-from repro.schedule.spec import ScheduleSpec
+from repro.schedule.spec import ScheduleSpec, _dfs_preset
 
 __all__ = ["execute"]
 
@@ -59,45 +64,6 @@ def _stream_costs(
     rows = min(max(1, chunk_words // hc), hr)
     cols = hc if chunk_words >= hc else chunk_words
     return nnz * hr * hc, hr * hc, 2 * rows * cols
-
-
-def _mult_costs(
-    alg,
-    shape: tuple[int, int, int],
-    M: int,
-    base_size: int,
-    memo: dict[tuple[int, int, int], tuple[int, int, int]],
-) -> tuple[int, int, int]:
-    """(reads, writes, peak) of the shared bilinear recursion at (R, K, C)."""
-    from repro.execution.recursive_bilinear import _is_base, _split_shape
-
-    if shape in memo:
-        return memo[shape]
-    R, K, C = shape
-    if _is_base(shape, M, base_size):
-        res = (R * K + K * C, R * C, R * K + K * C + R * C)
-        memo[shape] = res
-        return res
-    hr, hk, hc = _split_shape(alg, shape)
-    reads = writes = peak = 0
-    for l in range(alg.t):
-        for mat, blk in ((alg.U, (hr, hk)), (alg.V, (hk, hc))):
-            sr, sw, sp = _stream_costs(int(np.count_nonzero(mat[l])), blk, M)
-            reads += sr
-            writes += sw
-            peak = max(peak, sp)
-    sub_r, sub_w, sub_p = _mult_costs(alg, (hr, hk, hc), M, base_size, memo)
-    reads += alg.t * sub_r
-    writes += alg.t * sub_w
-    peak = max(peak, sub_p)
-    for q in range(alg.n * alg.p):
-        sr, sw, sp = _stream_costs(int(np.count_nonzero(alg.W[q])), (hr, hc), M)
-        reads += sr
-        writes += sw
-        peak = max(peak, sp)
-    res = (reads, writes, peak)
-    memo[shape] = res
-    return res
 
 
 def _leaf_costs(leaf: str, shape: tuple[int, int, int], M: int) -> tuple[int, int, int]:
@@ -131,12 +97,12 @@ def _hybrid_costs(
     leaf: str,
     memo: dict,
 ) -> tuple[int, int, int]:
-    """Hybrid closed form, memoized on (shape, remaining cutoff levels).
+    """(reads, writes, peak) of the DFS at (R, K, C), ``cutoff`` levels left.
 
-    Above the cutoff the recurrence is :func:`_mult_costs`' (streams +
-    t isomorphic sub-problems); at the cutoff the classical leaf's counts
-    are charged; the cache-fit base case takes precedence throughout,
-    mirroring ``hybrid._hybrid_mult`` exactly.
+    Memoized on (shape, remaining cutoff levels).  Above the cutoff: the
+    streamed encoders and decoder plus t isomorphic sub-problems; at the
+    cutoff the classical leaf's counts; the cache-fit base case takes
+    precedence throughout, mirroring ``hybrid._hybrid_mult`` exactly.
     """
     from repro.execution.recursive_bilinear import _is_base, _split_shape
 
@@ -173,16 +139,6 @@ def _hybrid_costs(
     return res
 
 
-def _tiled_costs(n: int, M: int) -> tuple[int, int, int]:
-    from repro.execution.classical_tiled import TILE_FOOTPRINT, largest_tile
-
-    b = largest_tile(n, M)
-    if n % b != 0 or TILE_FOOTPRINT * b * b > M:
-        raise ValueError(f"invalid tile size {b} for n={n}, M={M}")
-    q = n // b
-    return 2 * q * q * q * b * b, q * q * b * b, 4 * b * b
-
-
 def _transform_costs(phi: np.ndarray, n: int, stop: int, M: int) -> tuple[int, int, int]:
     """(reads, writes, peak) of one streamed recursive basis transform."""
     phi = np.asarray(phi)
@@ -204,44 +160,30 @@ def _seq_io(spec: ScheduleSpec) -> dict:
     p = spec.params
     n, M = int(p["n"]), int(p["M"])
     variant = p.get("variant", "recursive")
-    base_size = p.get("base_size")
-    if variant == "tiled":
-        reads, writes, peak = _tiled_costs(n, M)
-        return {"reads": reads, "writes": writes, "io": reads + writes,
-                "peak_fast": peak}
-    if variant == "recursive":
-        from repro.algorithms.bilinear import recursion_shape
-
-        alg = spec.payload["alg"]
-        shape = recursion_shape(alg, n)
-        reads, writes, peak = _mult_costs(
-            alg, shape, M, max(shape) if base_size is None else int(base_size), {}
-        )
-        return {"reads": reads, "writes": writes, "io": reads + writes,
-                "peak_fast": peak}
-    if variant == "hybrid":
-        from repro.algorithms.bilinear import recursion_shape
-
-        alg = spec.payload["alg"]
-        shape = recursion_shape(alg, n)
-        reads, writes, peak = _hybrid_costs(
-            alg, shape, M, int(p["cutoff"]),
-            max(shape) if base_size is None else int(base_size),
-            p.get("leaf", "tiled"), {},
-        )
+    if variant in ("tiled", "recursive", "hybrid"):
+        if variant == "tiled":
+            reads, writes, peak = _leaf_costs("tiled", (n, n, n), M)
+        else:
+            alg, shape, cutoff, bs, leaf = _dfs_preset(spec)
+            reads, writes, peak = _hybrid_costs(alg, shape, M, cutoff, bs, leaf, {})
         return {"reads": reads, "writes": writes, "io": reads + writes,
                 "peak_fast": peak}
     if variant == "abmm":
         from repro.basis.transform import invert_base_transform
-        from repro.schedule.lower import abmm_stop_size
+        from repro.execution.abmm_exec import abmm_stop_size
+        from repro.execution.hybrid import hybrid_depth
         from repro.util.checks import check_power_of_two
 
         check_power_of_two(n, "n")
         alt = spec.payload["alg"]
-        stop = abmm_stop_size(n, M, base_size)
+        stop = abmm_stop_size(n, M, p.get("base_size"))
         fr, fw, fp = _transform_costs(alt.phi, n, stop, M)
         gr, gw, gp = _transform_costs(alt.psi, n, stop, M)
-        br, bw, bp = _mult_costs(alt.core, (n, n, n), M, stop, {})
+        shape = (n, n, n)
+        br, bw, bp = _hybrid_costs(
+            alt.core, shape, M, hybrid_depth(alt.core, shape, M, stop), stop,
+            "tiled", {},
+        )
         ir_, iw, ip = _transform_costs(invert_base_transform(alt.nu), n, stop, M)
         reads = fr + gr + br + ir_
         writes = fw + gw + bw + iw

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.constants import leading_constant_series
+from repro.bounds.constants import leading_constant_series
 
 
 class TestLeadingConstants:

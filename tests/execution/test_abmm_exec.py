@@ -88,3 +88,17 @@ class TestABMMExecution:
         m = SequentialMachine(2)
         with pytest.raises(MemoryError):
             execute_abmm(m, ks_alg, rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+
+    @pytest.mark.parametrize(
+        "a_shape,b_shape", [((16, 8), (8, 16)), ((16, 16), (8, 8)), ((12, 12), (12, 12))]
+    )
+    def test_bad_operands_rejected_before_any_io(self, ks_alg, rng, a_shape, b_shape):
+        """Non-square, mismatched or non-power-of-two operands raise before
+        the first machine op, so a rejected run charges no I/O."""
+        m = SequentialMachine(48)
+        with pytest.raises(ValueError):
+            execute_abmm(
+                m, ks_alg, rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+            )
+        assert m.io_operations == 0
+

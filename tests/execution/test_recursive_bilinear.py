@@ -45,8 +45,6 @@ class TestStreaming:
 
     def test_impossible_memory_raises(self):
         # M=1: the two-buffer stream footprint leaves no room for a chunk
-        # (M=3 now *works* — the honest budget is (M − reserve) // 2, not
-        # the old per-source division)
         m = SequentialMachine(M=1)
         m.place_input("src", np.zeros((4, 4)))
         m.alloc_slow("dst", (4, 4))

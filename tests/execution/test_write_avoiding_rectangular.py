@@ -6,7 +6,7 @@ import pytest
 from repro.algorithms import classical, strassen
 from repro.algorithms.tensor import tensor_product
 from repro.bounds.formulas import rectangular_bound
-from repro.execution.rectangular import recursive_rectangular_matmul
+from repro.execution import execute_recursive_bilinear
 from repro.execution.write_avoiding import (
     nvm_cost_comparison,
     recursive_fast_write_profile,
@@ -56,7 +56,7 @@ class TestRectangularRecursion:
         A = rng.standard_normal((2 ** t, 3 ** t))
         B = rng.standard_normal((3 ** t, 4 ** t))
         m = SequentialMachine(64)
-        C = recursive_rectangular_matmul(m, alg, A, B)
+        C = execute_recursive_bilinear(m, alg, A, B)
         assert np.allclose(C, A @ B)
 
     def test_square_degenerates_correctly(self, rng):
@@ -64,14 +64,14 @@ class TestRectangularRecursion:
         A = rng.standard_normal((8, 8))
         B = rng.standard_normal((8, 8))
         m = SequentialMachine(64)
-        assert np.allclose(recursive_rectangular_matmul(m, alg, A, B), A @ B)
+        assert np.allclose(execute_recursive_bilinear(m, alg, A, B), A @ B)
 
     def test_tensor_built_rectangular(self, rng):
         alg = tensor_product(classical(1, 2, 2), classical(2, 1, 2))  # ⟨2,2,4;16⟩
         A = rng.standard_normal((2, 2))
         B = rng.standard_normal((2, 4))
         m = SequentialMachine(40)
-        assert np.allclose(recursive_rectangular_matmul(m, alg, A, B), A @ B)
+        assert np.allclose(execute_recursive_bilinear(m, alg, A, B), A @ B)
 
     def test_io_respects_rectangular_bound_shape(self, rng):
         """Measured I/O vs Ω(q^t/M^{log_{mp}q − 1}) across t."""
@@ -82,24 +82,36 @@ class TestRectangularRecursion:
             A = rng.standard_normal((2 ** t, 3 ** t))
             B = rng.standard_normal((3 ** t, 4 ** t))
             m = SequentialMachine(M)
-            recursive_rectangular_matmul(m, alg, A, B)
+            execute_recursive_bilinear(m, alg, A, B)
             bound = rectangular_bound(24, t, 2, 4, M)
             assert m.io_operations >= bound / 64
             ratios.append(m.io_operations / bound)
         assert ratios[1] / ratios[0] < 8  # constants stay in a band
 
+    def test_fitting_shape_computed_directly(self, rng):
+        """(4×4)·(4×4) is no ⟨2,3,4⟩ power, but its 48 words fit M = 64:
+        the cache-fit base case solves it in one pass."""
+        alg = classical(2, 3, 4)
+        A = rng.standard_normal((4, 4))
+        B = rng.standard_normal((4, 4))
+        m = SequentialMachine(64)
+        assert np.allclose(execute_recursive_bilinear(m, alg, A, B), A @ B)
+        assert m.io_operations == 48
+
     def test_bad_shapes_rejected(self, rng):
+        """(8×8)·(8×8) neither fits M = 64 nor divides by (2, 3, 4)."""
         alg = classical(2, 3, 4)
         m = SequentialMachine(64)
         with pytest.raises(ValueError):
-            recursive_rectangular_matmul(
-                m, alg, rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+            execute_recursive_bilinear(
+                m, alg, rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
             )
+        assert m.io_operations == 0
 
     def test_mismatched_inner_rejected(self, rng):
         alg = classical(2, 3, 4)
         m = SequentialMachine(64)
         with pytest.raises(ValueError):
-            recursive_rectangular_matmul(
+            execute_recursive_bilinear(
                 m, alg, rng.standard_normal((2, 3)), rng.standard_normal((4, 4))
             )

@@ -1,8 +1,8 @@
 """Hypothesis property tests: CSE semantics and exact I/O models.
 
 Invariants: the CSE'd straight-line program computes exactly mat·x; CSE
-never exceeds the flat addition count; the exact I/O models track the
-executors under randomized parameters.
+never exceeds the flat addition count; the symbolic backend's closed
+forms track the executors under randomized parameters.
 """
 
 import numpy as np
@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.cse import greedy_cse
 from repro.algorithms.strassen import strassen
-from repro.bounds.io_models import recursive_fast_io_model, tiled_classical_io_model
 from repro.execution import execute_recursive_bilinear, execute_tiled
 from repro.machine import SequentialMachine
+from repro.schedule import run, seq_io_schedule
 
 sign_matrix = st.lists(
     st.lists(st.sampled_from([-1, 0, 1]), min_size=4, max_size=4),
@@ -59,7 +59,8 @@ class TestIOModelsRandomized:
         rng = np.random.default_rng(0)
         machine = SequentialMachine(M)
         execute_tiled(machine, rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        assert tiled_classical_io_model(n, M) == machine.io_operations
+        report = run(seq_io_schedule(None, n, M), backend="symbolic")
+        assert report.io == machine.io_operations
 
     @given(
         log_n=st.integers(3, 5),
@@ -73,4 +74,5 @@ class TestIOModelsRandomized:
         execute_recursive_bilinear(
             machine, strassen(), rng.standard_normal((n, n)), rng.standard_normal((n, n))
         )
-        assert recursive_fast_io_model(strassen(), n, M) == machine.io_operations
+        report = run(seq_io_schedule(strassen(), n, M), backend="symbolic")
+        assert report.io == machine.io_operations

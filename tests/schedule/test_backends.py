@@ -136,3 +136,18 @@ class TestFacade:
         rep = schedule.run(spec, machine=m, backend="vector")
         assert m.words_read == rep.reads
         assert m.words_written == rep.writes
+
+
+class TestTopLevelExports:
+    def test_canonical_names_importable_from_repro(self):
+        import repro
+
+        for name in (
+            "execute_tiled",
+            "execute_lru_trace",
+            "execute_recursive_bilinear",
+            "execute_abmm",
+            "execute_parallel_bfs",
+            "schedule",
+        ):
+            assert hasattr(repro, name), name
