@@ -119,22 +119,20 @@ def execute_abmm(
     machine.place_input("A_orig", A)
     machine.place_input("B_orig", B)
 
-    io0 = machine.io_operations
-    machine_basis_transform(machine, "A_orig", "A", n, alt.phi, stop)
-    machine_basis_transform(machine, "B_orig", "B", n, alt.psi, stop)
-    io_fwd = machine.io_operations - io0
-
+    with machine.phase("transform_forward") as fwd:
+        machine_basis_transform(machine, "A_orig", "A", n, alt.phi, stop)
+        machine_basis_transform(machine, "B_orig", "B", n, alt.psi, stop)
     shape = (n, n, n)
-    _hybrid_mult(
-        machine, alt.core, "A", "B", "C_t", shape,
-        hybrid_depth(alt.core, shape, machine.M, stop), 0, stop, "tiled", "r",
-        replay=level_replay,
-    )
-    io_bilinear = machine.io_operations - io0 - io_fwd
-
-    nu_inv = invert_base_transform(alt.nu)
-    machine_basis_transform(machine, "C_t", "C", n, nu_inv, stop)
-    io_inv = machine.io_operations - io0 - io_fwd - io_bilinear
+    with machine.phase("bilinear") as bil:
+        _hybrid_mult(
+            machine, alt.core, "A", "B", "C_t", shape,
+            hybrid_depth(alt.core, shape, machine.M, stop), 0, stop, "tiled", "r",
+            replay=level_replay,
+        )
+    with machine.phase("transform_inverse") as inv:
+        nu_inv = invert_base_transform(alt.nu)
+        machine_basis_transform(machine, "C_t", "C", n, nu_inv, stop)
+    io_fwd, io_bilinear, io_inv = fwd["io"], bil["io"], inv["io"]
 
     C = None if level_replay else machine.fetch_output("C")
     return C, {

@@ -31,26 +31,11 @@ from repro.machine.sequential import SequentialMachine
 __all__ = [
     "execute_tiled",
     "execute_lru_trace",
-    "largest_tile",
 ]
 
 #: Fast-memory tiles a blocked multiply holds at once: A, B, C and the
 #: charged product scratch P (see module docstring).
 TILE_FOOTPRINT = 4
-
-
-def largest_tile(n: int, M: int) -> int:
-    """Largest tile side b dividing n with 4b² ≤ M (at least 1).
-
-    The 4 is :data:`TILE_FOOTPRINT`: the true peak of the execution is
-    A-tile + B-tile + C-tile + product scratch.  (Before the accounting
-    fix this tested 3b² ≤ M and the product tile ran uncharged.)
-    """
-    best = 1
-    for b in range(1, n + 1):
-        if n % b == 0 and TILE_FOOTPRINT * b * b <= M:
-            best = b
-    return best
 
 
 def execute_tiled(
@@ -70,7 +55,7 @@ def execute_tiled(
 
     ``replay=True`` executes only the first of the (n/b)² identical
     C-tile passes and scales the counters by the remaining count
-    (:meth:`SequentialMachine.charge_replayed_io`); counters are exact
+    (:meth:`SequentialMachine.replay`); counters are exact
     (each pass moves identical word counts) but the numeric product is not
     produced — the function returns ``None``.
     """
@@ -79,10 +64,11 @@ def execute_tiled(
     n = A.shape[0]
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValueError("square, same-shaped operands required")
-    b = tile if tile is not None else largest_tile(n, machine.M)
+    from repro.execution.hybrid import _tiled_leaf, largest_leaf_tile
+
+    b = tile if tile is not None else largest_leaf_tile((n, n, n), machine.M)
     if n % b != 0 or TILE_FOOTPRINT * b * b > machine.M:
         raise ValueError(f"invalid tile size {b} for n={n}, M={machine.M}")
-    from repro.execution.hybrid import _tiled_leaf
 
     machine.place_input("A", A)
     machine.place_input("B", B)

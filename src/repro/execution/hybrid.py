@@ -33,11 +33,12 @@ The two classical ends of the family are presets of this code:
 * :func:`~repro.execution.abmm_exec.execute_abmm` runs the DFS on the
   transformed operands.
 
-The Schedule IR has one mirror of each: the lowering
-``repro.schedule.lower._lower_hybrid`` emits this DFS op-for-op, and the
-symbolic closed form ``repro.schedule.symbolic._hybrid_costs`` is
-memoized on (shape, remaining levels); the falsify probes certify all
-three word-identical.
+The ``seq_io`` Schedule IR is recorded from these executors:
+``repro.schedule.lower`` runs them on a recording machine, so a lowered
+schedule is their op stream by construction.  The one independent copy
+of the recursion is the symbolic closed form
+``repro.schedule.symbolic._hybrid_costs``, memoized on (shape, remaining
+levels); the falsify probes certify it word-identical to the executions.
 """
 
 from __future__ import annotations
@@ -71,10 +72,12 @@ HYBRID_LEAVES = ("tiled", "resident")
 
 
 def largest_leaf_tile(shape: tuple[int, int, int], M: int) -> int:
-    """Largest tile side b dividing all of (R, K, C) with 4b² ≤ M.
+    """Largest tile side b dividing all of (R, K, C) with 4b² ≤ M (at least 1).
 
-    Reduces to :func:`~repro.execution.classical_tiled.largest_tile` on a
-    square shape — the ``cutoff=0`` word-identity anchor.
+    The 4 is :data:`~repro.execution.classical_tiled.TILE_FOOTPRINT`: the
+    true peak is A-tile + B-tile + C-tile + product scratch.  On (n, n, n)
+    this is the tile :func:`~repro.execution.classical_tiled.execute_tiled`
+    uses by default.
     """
     R, K, C = shape
     g = gcd(gcd(R, K), C)
@@ -115,9 +118,12 @@ def hybrid_depth(
     ``cutoff >= hybrid_depth(...)`` makes :func:`execute_hybrid`
     word-identical to ``execute_recursive_bilinear``.  ``shape`` is the
     (R, K, C) triple, or the A-side n (expanded via ``recursion_shape``).
+    Raises :class:`MemoryError` when M < 3: no sub-problem fits then.
     """
     from repro.algorithms.bilinear import recursion_shape
 
+    if M < 3:
+        raise MemoryError(f"M={M} cannot hold even a 1×1×1 base case")
     if isinstance(shape, int):
         shape = recursion_shape(alg, shape)
     if base_size is None:
@@ -174,13 +180,13 @@ def _tiled_leaf(
     machine.alloc_slow(c_name, (R, C))
     qr, qk, qc = R // b, K // b, C // b
     p_tile = machine.allocate("Pt", (b, b))  # charged product scratch
-    pass_reads = pass_writes = None
+    pass_io = None
     for i in range(qr):
         for j in range(qc):
-            if replay and pass_reads is not None:
-                machine.charge_replayed_io(pass_reads, pass_writes, 1, label="Ct")
+            if replay and pass_io is not None:
+                machine.replay(pass_io, "Ct")
                 continue
-            r0, w0 = machine.words_read, machine.words_written
+            mark = machine.mark()
             c_tile = machine.allocate("Ct", (b, b))
             for k in range(qk):
                 a = machine.load_slice(
@@ -200,8 +206,7 @@ def _tiled_leaf(
                 "Ct", c_name, np.s_[i * b : (i + 1) * b, j * b : (j + 1) * b]
             )
             machine.free("Ct")
-            pass_reads = machine.words_read - r0
-            pass_writes = machine.words_written - w0
+            pass_io = machine.segment(mark)
     machine.free("Pt")
 
 
@@ -223,13 +228,13 @@ def _resident_leaf(
     R, K, C = shape
     b, cw = resident_block(R, C, machine.M)
     machine.alloc_slow(c_name, (R, C))
-    pass_reads = pass_writes = None
+    pass_io = None
     for i in range(R // b):
         for j in range(C // b):
-            if replay and pass_reads is not None:
-                machine.charge_replayed_io(pass_reads, pass_writes, 1, label="Cb")
+            if replay and pass_io is not None:
+                machine.replay(pass_io, "Cb")
                 continue
-            r0, w0 = machine.words_read, machine.words_written
+            mark = machine.mark()
             c_blk = machine.allocate("Cb", (b, b))
             for k in range(K):
                 a_col = machine.load_slice(
@@ -254,8 +259,7 @@ def _resident_leaf(
                 "Cb", c_name, np.s_[i * b : (i + 1) * b, j * b : (j + 1) * b]
             )
             machine.free("Cb")
-            pass_reads = machine.words_read - r0
-            pass_writes = machine.words_written - w0
+            pass_io = machine.segment(mark)
 
 
 _LEAF_EXECUTORS = {"tiled": _tiled_leaf, "resident": _resident_leaf}
@@ -299,7 +303,7 @@ def _hybrid_mult(
     hr, hk, hc = _split_shape(alg, shape)
     machine.alloc_slow(c_name, (R, C))
     prod_names: list[str] = []
-    sub_reads = sub_writes = None
+    sub_io = None
     for l in range(alg.t):
         ah = f"{tag}.A{l}"
         bh = f"{tag}.B{l}"
@@ -324,20 +328,18 @@ def _hybrid_mult(
             (bh, 0, 0),
             (hk, hc),
         )
-        if replay and sub_reads is not None:
+        if replay and sub_io is not None:
             # Isomorphic to the measured sub-problem (same shape, same
             # remaining cutoff budget): charge, don't execute.
             machine.alloc_slow(ml, (hr, hc))
-            machine.charge_replayed_io(sub_reads, sub_writes, 1, label=ml)
+            machine.replay(sub_io, ml)
         else:
-            r0, w0 = machine.words_read, machine.words_written
+            mark = machine.mark()
             _hybrid_mult(
                 machine, alg, ah, bh, ml, (hr, hk, hc), cutoff, level + 1,
                 base_size, leaf, f"{tag}.{l}", replay=replay,
             )
-            if replay:
-                sub_reads = machine.words_read - r0
-                sub_writes = machine.words_written - w0
+            sub_io = machine.segment(mark)
         machine.drop_slow(ah)
         machine.drop_slow(bh)
         prod_names.append(ml)

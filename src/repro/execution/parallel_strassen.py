@@ -97,9 +97,9 @@ def simulate_bfs_comm(
 
     Tracks entry→processor maps through the same round-robin
     redistribution as :func:`execute_parallel_bfs` without any numeric
-    data — communication is value-independent, so the (sent, received)
-    tallies are exactly the physical run's (certified by the execution
-    tests).  ``emit(level, l, label, words)``, when given, is called once
+    data — communication is value-independent, so these (sent, received)
+    tallies are the physical run's: :func:`execute_parallel_bfs` takes
+    them from here.  ``emit(level, l, label, words)``, when given, is called once
     per redistribution that moves ≥1 word — the hook the Schedule IR
     lowering uses to materialize COMM ops.
 
@@ -164,83 +164,23 @@ def execute_parallel_bfs(
 ) -> tuple[np.ndarray, ParallelRunStats]:
     """Run the BFS-parallel algorithm; P must be a power of alg.t (7^k).
 
-    Returns (C, stats).  When ``M`` is given, one representative local
+    The communication tallies come from :func:`simulate_bfs_comm`; the
+    numeric product recurses through ``alg.apply_one_level``.  Returns
+    (C, stats).  When ``M`` is given, one representative local
     multiplication is executed on a SequentialMachine(M) and its I/O is
     reported per processor (all local problems have identical shape).
     """
-    if (alg.n, alg.m, alg.p) != (2, 2, 2):
-        raise ValueError("BFS parallel execution implemented for 2×2 base cases")
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     n = A.shape[0]
-    t = alg.t
-    levels = 0
-    pp = P
-    while pp > 1:
-        if pp % t != 0:
-            raise ValueError(f"P={P} is not a power of {t}")
-        pp //= t
-        levels += 1
-    if n % (2 ** levels) != 0:
-        raise ValueError(f"n={n} too small for {levels} BFS levels")
+    sent, received, levels = simulate_bfs_comm(alg, n, P)
 
-    sent = np.zeros(P, dtype=np.int64)
-    received = np.zeros(P, dtype=np.int64)
+    def bfs(X: np.ndarray, Y: np.ndarray, level: int) -> np.ndarray:
+        if level == levels:
+            return X @ Y
+        return alg.apply_one_level(X, Y, lambda a, b: bfs(a, b, level + 1))
 
-    def charge(src_owners: np.ndarray, dst_owners: np.ndarray) -> None:
-        mask = src_owners != dst_owners
-        if mask.any():
-            np.add.at(sent, src_owners[mask].ravel(), 1)
-            np.add.at(received, dst_owners[mask].ravel(), 1)
-
-    def encode(
-        X: np.ndarray, own: np.ndarray, coeffs: np.ndarray, subgroup: np.ndarray, h: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Form one encoded operand and its new owner map, charging comm."""
-        new_own = _round_robin_owners(subgroup, (h, h))
-        out = np.zeros((h, h))
-        for q in np.nonzero(coeffs)[0]:
-            out += float(coeffs[q]) * _block(X, int(q), h)
-            charge(_block(own, int(q), h), new_own)
-        return out, new_own
-
-    def bfs(
-        Ax: np.ndarray,
-        Bx: np.ndarray,
-        ownA: np.ndarray,
-        ownB: np.ndarray,
-        group: np.ndarray,
-        s: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if len(group) == 1:
-            return Ax @ Bx, np.full((s, s), group[0], dtype=np.int64)
-        h = s // 2
-        m = len(group) // t
-        child_C: list[np.ndarray] = []
-        child_own: list[np.ndarray] = []
-        for l in range(t):
-            subgroup = group[l * m : (l + 1) * m]
-            Ahat, ownAhat = encode(Ax, ownA, alg.U[l], subgroup, h)
-            Bhat, ownBhat = encode(Bx, ownB, alg.V[l], subgroup, h)
-            Cl, ownCl = bfs(Ahat, Bhat, ownAhat, ownBhat, subgroup, h)
-            child_C.append(Cl)
-            child_own.append(ownCl)
-        C = np.zeros((s, s))
-        ownC = _round_robin_owners(group, (s, s))
-        for q in range(4):
-            bi, bj = q // 2, q % 2
-            dst_own = ownC[bi * h : (bi + 1) * h, bj * h : (bj + 1) * h]
-            acc = np.zeros((h, h))
-            for l in np.nonzero(alg.W[q])[0]:
-                acc += float(alg.W[q, l]) * child_C[int(l)]
-                charge(child_own[int(l)], dst_own)
-            C[bi * h : (bi + 1) * h, bj * h : (bj + 1) * h] = acc
-        return C, ownC
-
-    all_procs = np.arange(P, dtype=np.int64)
-    ownA0 = _round_robin_owners(all_procs, (n, n))
-    ownB0 = _round_robin_owners(all_procs, (n, n))
-    C, _ = bfs(A, B, ownA0, ownB0, all_procs, n)
+    C = bfs(A, B, 0)
 
     local_io = 0.0
     if M is not None:

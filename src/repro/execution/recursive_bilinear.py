@@ -29,7 +29,7 @@ exploits that the t sub-problems of a level are isomorphic: their I/O is
 value-independent and identical, so the machine executes the encoders for
 every l (their cost varies with nnz(U[l]), nnz(V[l])), recurses into
 *one* sub-problem, and charges the other t−1 via
-:meth:`SequentialMachine.charge_replayed_io`.  Counters are exact — the
+:meth:`SequentialMachine.replay`.  Counters are exact — the
 cross-check flag proves it against full execution — but the numeric
 product is not computed (the function returns ``None``).  Wall time drops
 from Θ(tᴸ) recursive calls to Θ(L·t) at depth L.

@@ -283,6 +283,27 @@ class SequentialMachine:
     # ------------------------------------------------------------------ #
     # accounting
     # ------------------------------------------------------------------ #
+    def mark(self) -> tuple[int, int]:
+        """A position in the transfer stream, to measure a segment from."""
+        return self.words_read, self.words_written
+
+    def segment(self, mark: tuple[int, int]) -> tuple[int, int]:
+        """The (reads, writes) executed since ``mark``."""
+        return self.words_read - mark[0], self.words_written - mark[1]
+
+    def replay(self, segment: tuple[int, int], label: str = "replay") -> None:
+        """Charge one more copy of an executed :meth:`segment` (level replay)."""
+        self.charge_replayed_io(*segment, 1, label=label)
+
+    @contextmanager
+    def phase(self, name: str):
+        """Yield ``{"io": …}``, set on exit to the words moved inside;
+        ``name`` labels the phase (the schedule recorder tags ops with it)."""
+        io = {"io": 0}
+        io0 = self.io_operations
+        yield io
+        io["io"] = self.io_operations - io0
+
     def charge_replayed_io(
         self, reads: int, writes: int, repeats: int, label: str = "replay"
     ) -> None:

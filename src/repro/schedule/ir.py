@@ -2,8 +2,8 @@
 
 A :class:`ScheduleIR` is a straight-line program over a two-level memory:
 a list of typed :class:`Op` records (load / store / alloc / free / compute
-/ replay / trace / comm) tagged with the recursion ``level`` and quadrant
-``index`` they came from.  The IR is the *common substrate* of the
+/ replay / trace / comm), some tagged with the recursion ``level`` and
+quadrant ``index`` they came from.  The IR is the *common substrate* of the
 repository's counting paths: the sequential out-of-core executions, the
 row-replay LRU trace, the red-blue pebbling validator, and the BFS
 parallel simulator all lower to it (:mod:`repro.schedule.lower`), and the
@@ -19,7 +19,8 @@ level-replay executors exploit — and it is what keeps replay-lowered
 schedules at O(levels · t) ops instead of O(t^levels).
 
 Ops never carry numpy arrays; the IR is a pure counting object, cheap to
-build, serialize, and diff.
+count, serialize, and diff.  Building a ``seq_io`` IR is not cheap: it
+is recorded by running the executor (:mod:`repro.schedule.lower`).
 """
 
 from __future__ import annotations

@@ -5,14 +5,14 @@ machine counts by construction, because the sequential-workload path *is*
 the machine — :meth:`repro.machine.sequential.SequentialMachine.consume_ir`
 charges each op through the same ``_charge_alloc`` capacity check, the
 same counters, the same metrics-registry publications, and the same
-replay-charge path (:meth:`charge_replayed_io`) the physical executors
-use.  The other workload kinds route to their canonical rule engines: the
+replay-charge path (:meth:`charge_replayed_io`, behind ``replay``) the
+physical executors use.  The other workload kinds route to their canonical rule engines: the
 LRU cache for TRACE streams, the red-blue game validator for pebbling
 moves, the owner-map tallies for parallel communication.
 
 The vector and symbolic backends are certified against this one
-(``repro falsify`` backend probes + tests/schedule/), which in turn is
-certified against the physical executors op-for-op.
+(``repro falsify`` backend probes + tests/schedule/); its ``seq_io`` ops
+are recorded from the physical executors themselves.
 """
 
 from __future__ import annotations

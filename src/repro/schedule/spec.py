@@ -61,18 +61,22 @@ class ScheduleSpec:
 def _dfs_preset(spec: ScheduleSpec) -> tuple:
     """(alg, shape, cutoff, base_size, leaf) of a ``recursive`` or
     ``hybrid`` seq_io spec — one DFS, with ``recursive`` its preset at
-    cutoff ``hybrid_depth`` (the executors' rule)."""
+    cutoff ``hybrid_depth`` (the executors' rule).  Shapes are validated
+    as the executors validate them, so the errors match theirs."""
     from repro.algorithms.bilinear import recursion_shape
-    from repro.execution.hybrid import hybrid_depth
+    from repro.execution.hybrid import hybrid_depth, validate_hybrid_shapes
 
     p = spec.params
     alg = spec.payload["alg"]
+    M = int(p["M"])
     shape = recursion_shape(alg, int(p["n"]))
     base_size = max(shape) if p.get("base_size") is None else int(p["base_size"])
     if p.get("variant", "recursive") == "recursive":
-        cutoff = hybrid_depth(alg, shape, int(p["M"]), base_size)
-        return alg, shape, cutoff, base_size, "tiled"
-    return alg, shape, int(p["cutoff"]), base_size, p.get("leaf", "tiled")
+        cutoff, leaf = hybrid_depth(alg, shape, M, base_size), "tiled"
+    else:
+        cutoff, leaf = int(p["cutoff"]), p.get("leaf", "tiled")
+    validate_hybrid_shapes(alg, shape, M, base_size, cutoff)
+    return alg, shape, cutoff, base_size, leaf
 
 
 def _resolve_seq_alg(alg):

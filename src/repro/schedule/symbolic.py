@@ -9,9 +9,10 @@ what pushes sweeps to n ≥ 4096 (7¹²⁺ subproblems) in milliseconds where
 even the replay-lowered IR costs thousands of ops and the explicit-CDAG
 path caps out near n ≈ 32.
 
-Closed forms (word-exact mirrors of the lowered schedules, certified by
-the ``repro falsify`` backend probes).  One recurrence,
-:func:`_hybrid_costs`, mirrors the one executor DFS; the ``seq_io``
+Closed forms (word-exact with the schedules recorded from the executors,
+certified by the ``repro falsify`` backend probes).  One recurrence,
+:func:`_hybrid_costs`, is the closed form of the one executor DFS — the
+only copy of the recursion written independently of it; the ``seq_io``
 variants are its presets, as the executors are:
 
 * hybrid (fast above cutoff ℓ, classical leaves below), memoized on

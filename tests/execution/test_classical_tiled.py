@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bounds.formulas import classical_sequential
-from repro.execution.classical_tiled import largest_tile, execute_lru_trace, execute_tiled
+from repro.execution.classical_tiled import execute_lru_trace, execute_tiled
+from repro.execution.hybrid import largest_leaf_tile
 from repro.machine.sequential import SequentialMachine
 
 
@@ -15,7 +16,7 @@ class TestLargestTile:
         [(16, 192, 4), (16, 48, 2), (16, 3, 1), (12, 108, 4), (16, 256, 8)],
     )
     def test_values(self, n, M, expected):
-        assert largest_tile(n, M) == expected
+        assert largest_leaf_tile((n, n, n), M) == expected
 
 
 class TestTiledMatmul:

@@ -26,12 +26,6 @@ class TestLeafGeometry:
     def test_largest_leaf_tile(self, shape, M, expected):
         assert largest_leaf_tile(shape, M) == expected
 
-    def test_largest_leaf_tile_matches_square_tiling(self):
-        from repro.execution.classical_tiled import largest_tile
-
-        for n, M in [(8, 48), (16, 48), (16, 192), (32, 108)]:
-            assert largest_leaf_tile((n, n, n), M) == largest_tile(n, M)
-
     @pytest.mark.parametrize(
         "R,C,M,b",
         [(16, 16, 289, 16), (16, 16, 288, 8), (16, 16, 82, 8), (32, 16, 305, 16)],

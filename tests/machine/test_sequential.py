@@ -124,6 +124,28 @@ class TestAccounting:
         assert m.words_written == 120
         assert m.peak_fast_words == 0  # replay never touches fast memory
 
+    def test_mark_segment_replay(self):
+        m = SequentialMachine(M=10)
+        m.place_input("x", np.ones((2, 2)))
+        mark = m.mark()
+        m.load("x", "f")
+        m.store("f", "y")
+        m.free("f")
+        seg = m.segment(mark)
+        assert seg == (4, 4)
+        m.replay(seg, "again")
+        assert (m.words_read, m.words_written, m.peak_fast_words) == (8, 8, 4)
+
+    def test_phase_yields_its_io(self):
+        m = SequentialMachine(M=10)
+        m.place_input("x", np.ones(3))
+        m.load("x", "a")
+        with m.phase("p") as io:
+            m.load("x", "b")
+            m.store("b", "y")
+        assert io["io"] == 6
+        assert m.io_operations == 9
+
     def test_charge_replayed_io_rejects_negative(self):
         m = SequentialMachine(M=10)
         with pytest.raises(ValueError):

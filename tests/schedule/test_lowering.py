@@ -1,9 +1,10 @@
 """The lowering contract: reference interpretation == physical machine runs.
 
-Every lowering mirrors its machine executor op-for-op, so interpreting
-the lowered IR must produce *word-identical* (reads, writes, peak_fast)
-to executing the real algorithm on a SequentialMachine — for every
-variant, replay mode, and workload kind.
+``seq_io`` lowerings are recorded from the machine executors themselves,
+and the other kinds are built from the same simulations their executors
+use, so interpreting the lowered IR must produce *word-identical*
+(reads, writes, peak_fast) to executing the real algorithm on a
+SequentialMachine — for every variant, replay mode, and workload kind.
 """
 
 import numpy as np
