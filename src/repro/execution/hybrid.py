@@ -168,8 +168,10 @@ def _tiled_leaf(
     """Blocked classical (R×K)·(K×C) on named slow arrays.
 
     Tile side ``b`` defaults to :func:`largest_leaf_tile`.  Loop order
-    (i, j, k) keeps the C-tile resident across the k loop; with ``replay``
-    only the first C-tile pass runs and the rest are charged.
+    (i, j, k) keeps the C-tile resident across the k loop, which is one
+    :meth:`~repro.machine.sequential.SequentialMachine.tile_k_loop` call
+    per C tile: charged as qk A- and B-tile loads, computed in bulk.  With
+    ``replay`` only the first C-tile pass runs and the rest are charged.
     """
     R, K, C = shape
     M = machine.M
@@ -179,7 +181,7 @@ def _tiled_leaf(
         raise ValueError(f"invalid tile size {b} for shape={shape}, M={M}")
     machine.alloc_slow(c_name, (R, C))
     qr, qk, qc = R // b, K // b, C // b
-    p_tile = machine.allocate("Pt", (b, b))  # charged product scratch
+    machine.allocate("Pt", (b, b))  # charged product scratch
     pass_io = None
     for i in range(qr):
         for j in range(qc):
@@ -187,21 +189,8 @@ def _tiled_leaf(
                 machine.replay(pass_io, "Ct")
                 continue
             mark = machine.mark()
-            c_tile = machine.allocate("Ct", (b, b))
-            for k in range(qk):
-                a = machine.load_slice(
-                    a_name, np.s_[i * b : (i + 1) * b, k * b : (k + 1) * b], "At",
-                    copy=False,
-                )
-                bt = machine.load_slice(
-                    b_name, np.s_[k * b : (k + 1) * b, j * b : (j + 1) * b], "Bt",
-                    copy=False,
-                )
-                with machine.compute():
-                    np.matmul(a, bt, out=p_tile)
-                    np.add(c_tile, p_tile, out=c_tile)
-                machine.free("At")
-                machine.free("Bt")
+            machine.allocate("Ct", (b, b))
+            machine.tile_k_loop(a_name, b_name, "Ct", i, j, b, qk)
             machine.store_slice(
                 "Ct", c_name, np.s_[i * b : (i + 1) * b, j * b : (j + 1) * b]
             )

@@ -32,7 +32,9 @@ every l (their cost varies with nnz(U[l]), nnz(V[l])), recurses into
 :meth:`SequentialMachine.replay`.  Counters are exact — the
 cross-check flag proves it against full execution — but the numeric
 product is not computed (the function returns ``None``).  Wall time drops
-from Θ(tᴸ) recursive calls to Θ(L·t) at depth L.
+from Θ(tᴸ) recursive calls to Θ(L·t) at depth L.  Either way each streamed
+combination is one machine call whatever its chunk count, so wall time
+follows the number of combinations, not the words they move.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def stream_linear_combination(
     common block shape, an int h for h×h blocks or a (rows, cols) pair.
     Only two buffers are ever resident — the accumulator and the current
     source chunk, combined in place — so row chunks are sized to the true
-    footprint 2·chunk_words ≤ M, independent of the fan-in.
+    footprint 2·chunk_words ≤ M, independent of the fan-in.  The chunk
+    loop is one
+    :meth:`~repro.machine.sequential.SequentialMachine.stream_combination`
+    call: charged chunk by chunk from the geometry, computed in bulk.
     """
     if not sources:
         raise ValueError("empty linear combination")
@@ -73,31 +78,9 @@ def stream_linear_combination(
         )
     rows_budget = max(1, chunk_words // hc)
     cols_budget = hc if chunk_words >= hc else chunk_words
-    dname, dr, dc = dst
-    r = 0
-    while r < hr:
-        rows = min(rows_budget, hr - r)
-        c = 0
-        while c < hc:
-            cols = min(cols_budget, hc - c)
-            acc = machine.allocate("_acc", (rows, cols))
-            for sname, sr, sc, coeff in sources:
-                chunk = machine.load_slice(
-                    sname,
-                    np.s_[sr + r : sr + r + rows, sc + c : sc + c + cols],
-                    "_src",
-                )
-                with machine.compute():
-                    if coeff != 1.0:
-                        np.multiply(chunk, coeff, out=chunk)
-                    np.add(acc, chunk, out=acc)
-                machine.free("_src")
-            machine.store_slice(
-                "_acc", dname, np.s_[dr + r : dr + r + rows, dc + c : dc + c + cols]
-            )
-            machine.free("_acc")
-            c += cols
-        r += rows
+    machine.stream_combination(
+        sources, dst, (hr, hc), (rows_budget, cols_budget)
+    )
 
 
 def _is_base(shape: tuple[int, int, int], M: int, base_size: int) -> bool:

@@ -6,12 +6,20 @@ the fast-memory buffers with plain numpy, and ``store`` results back.  The
 machine enforces the fast-memory capacity in *words* (array elements) and
 counts every word moved in each direction — the I/O the paper's bounds are
 about.  Nothing is estimated; if an algorithm forgets to evict, it crashes
-with :class:`FastMemoryOverflow` instead of silently under-counting.
+with :class:`FastMemoryOverflow` instead of silently under-counting.  That
+holds for the two geometry-charged runs too — a streamed linear
+combination (:meth:`SequentialMachine.stream_combination`) and a tile
+k-loop (:meth:`SequentialMachine.tile_k_loop`).  Each is one call whose
+counters, metrics and hook events are exactly those of its
+transfer-by-transfer loop, computed from the chunk geometry in closed
+form, with the arithmetic done in bulk on the slow arrays.
 
 Two accounting guarantees hold:
 
 * the invariant ``fast_words ≤ M`` (hence ``peak_fast_words ≤ M``) is
-  checked on **every** allocation — it cannot be violated without raising;
+  checked on **every** allocation — it cannot be violated without raising
+  (a geometry-charged run checks its first, largest step, which bounds
+  the others);
 * in **strict mode** (``SequentialMachine(M, strict=True)``) the machine
   additionally instruments numpy *temporaries*: arithmetic must be wrapped
   in ``with machine.compute():`` and any hidden allocation (e.g. the
@@ -63,15 +71,51 @@ def _emit(event: dict) -> None:
         hook(event)
 
 
-def _publish_transfer(direction: str, name: str, words: int) -> None:
-    """One counted transfer: typed metrics plus the legacy hook event."""
+def _publish_run(direction: str, words: int, count: int) -> None:
+    """The typed metrics of ``count`` counted transfers of ``words`` each."""
     reg = active_registry()
     if reg is not None:
-        reg.inc(f"machine.seq.{direction}s")
-        reg.inc(f"machine.seq.{direction}_words", words)
-        reg.observe("machine.seq.transfer_words", words)
+        reg.inc(f"machine.seq.{direction}s", count)
+        reg.inc(f"machine.seq.{direction}_words", words * count)
+        reg.observe("machine.seq.transfer_words", words, count)
+
+
+def _publish_transfer(direction: str, name: str, words: int) -> None:
+    """One counted transfer: typed metrics plus the legacy hook event."""
+    _publish_run(direction, words, 1)
     if _TRACE_HOOKS:
         _emit({"event": f"machine.{direction}", "name": name, "words": words})
+
+
+#: Fast names of the transient buffers of the two bulk calls, which the
+#: recorded schedule ops carry: the accumulator and source chunk of
+#: :meth:`SequentialMachine.stream_combination`, the A and B tiles of
+#: :meth:`SequentialMachine.tile_k_loop`.
+STREAM_BUFFERS = ("_acc", "_src")
+TILE_BUFFERS = ("At", "Bt")
+
+
+def stream_chunks(shape: tuple[int, int], budget: tuple[int, int]):
+    """(r, c, rows, cols) of each chunk of a streamed ``shape`` block, in
+    streaming order: row bands of ``budget[0]`` rows, each cut into
+    ``budget[1]``-column chunks; the last band and column are the tails."""
+    hr, hc = shape
+    rb, cb = budget
+    for r in range(0, hr, rb):
+        for c in range(0, hc, cb):
+            yield r, c, min(rb, hr - r), min(cb, hc - c)
+
+
+def _chunk_sizes(shape: tuple[int, int], budget: tuple[int, int]):
+    """(words, count) of the chunks of :func:`stream_chunks`, closed form:
+    full chunks, the column tail, the row tail and the corner."""
+    (nr, rt), (nc, ct) = divmod(shape[0], budget[0]), divmod(shape[1], budget[1])
+    return [
+        (rows * cols, nrows * ncols)
+        for rows, nrows in ((budget[0], nr), (rt, int(rt > 0)))
+        for cols, ncols in ((budget[1], nc), (ct, int(ct > 0)))
+        if nrows and ncols
+    ]
 
 
 class FastMemoryOverflow(RuntimeError):
@@ -237,6 +281,91 @@ class SequentialMachine:
     def free_all(self) -> None:
         self.fast.clear()
         self.fast_words = 0
+
+    # ------------------------------------------------------------------ #
+    # bulk transfer runs (charged from their geometry, computed in bulk)
+    # ------------------------------------------------------------------ #
+    def _check_pair(self, words: int) -> None:
+        """Capacity check of two transient ``words``-word buffers held at
+        once (allocated in order, then released): the peak of a run whose
+        first step is its largest."""
+        self._charge_alloc(words)
+        self._charge_alloc(words)
+        self.fast_words -= 2 * words
+
+    def stream_combination(
+        self,
+        sources: list[tuple[str, int, int, float]],
+        dst: tuple[str, int, int],
+        shape: tuple[int, int],
+        budget: tuple[int, int],
+    ) -> None:
+        """dst block = Σ coeff·src block, streamed in ``budget`` chunks.
+
+        ``sources`` are (slow name, row, col, coefficient) of ``shape``
+        blocks, ``dst`` is (slow name, row, col); the dst block must not
+        overlap a source block.  Charged exactly as the chunk loop that
+        allocates an accumulator per chunk of :func:`stream_chunks`, loads
+        each source's chunk into a second buffer, adds it and stores the
+        accumulator: capacity checked once for the first (largest) chunk,
+        counters and metrics from the closed-form chunk sizes, one hook
+        event per transfer when hooks are registered.  The arithmetic runs
+        on the slow arrays, outside :meth:`compute`, in the same
+        elementwise order from a zero accumulator, so the block is
+        bit-identical to the loop's.
+        """
+        hr, hc = shape
+        self._check_pair(min(budget[0], hr) * min(budget[1], hc))
+        acc, scaled = np.zeros(shape), np.empty(shape)
+        for sname, sr, sc, coeff in sources:
+            block = self.slow[sname][sr : sr + hr, sc : sc + hc]
+            if coeff != 1.0:
+                block = np.multiply(block, coeff, out=scaled)
+            np.add(acc, block, out=acc)
+        dname, dr, dc = dst
+        self.slow[dname][dr : dr + hr, dc : dc + hc] = acc
+        self.words_read += len(sources) * hr * hc
+        self.words_written += hr * hc
+        for words, count in _chunk_sizes(shape, budget):
+            _publish_run("load", words, len(sources) * count)
+            _publish_run("store", words, count)
+        if _TRACE_HOOKS:
+            for _r, _c, rows, cols in stream_chunks(shape, budget):
+                for sname, *_ in sources:
+                    _emit({"event": "machine.load", "name": sname,
+                           "words": rows * cols})
+                _emit({"event": "machine.store", "name": STREAM_BUFFERS[0],
+                       "words": rows * cols})
+
+    def tile_k_loop(
+        self, a_name: str, b_name: str, into: str, i: int, j: int, b: int, qk: int
+    ) -> None:
+        """``fast[into] += Σ_k A[i,k]·B[k,j]`` over b×b tiles, k < ``qk``.
+
+        Charged exactly as the loop that loads the A tile and the B tile
+        of each k, multiplies them into charged scratch, adds and frees
+        both: capacity checked once for one tile pair, counters and
+        metrics for 2·qk loads of b² words, one hook event per load when
+        hooks are registered.  The arithmetic runs on the slow arrays,
+        outside :meth:`compute`: one stacked matmul of the qk tile pairs,
+        then a sequential accumulate from the C tile in k order.
+        """
+        w = b * b
+        self._check_pair(w)
+        c_tile = self.fast[into]
+        a_panel = self.slow[a_name][i * b : (i + 1) * b, : qk * b]
+        b_panel = self.slow[b_name][: qk * b, j * b : (j + 1) * b]
+        terms = np.empty((qk + 1, b, b))
+        terms[0] = c_tile
+        np.matmul(a_panel.reshape(b, qk, b).transpose(1, 0, 2),
+                  b_panel.reshape(qk, b, b), out=terms[1:])
+        c_tile[...] = np.add.accumulate(terms, axis=0)[-1]
+        self.words_read += 2 * qk * w
+        _publish_run("load", w, 2 * qk)
+        if _TRACE_HOOKS:
+            for _k in range(qk):
+                _emit({"event": "machine.load", "name": a_name, "words": w})
+                _emit({"event": "machine.load", "name": b_name, "words": w})
 
     # ------------------------------------------------------------------ #
     # compute guard (strict-mode temporary instrumentation)

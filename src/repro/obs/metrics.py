@@ -106,16 +106,25 @@ class Histogram:
         self.vmin: float | None = None
         self.vmax: float | None = None
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Tally ``count`` observations of ``value``: the snapshot of
+        ``count`` single calls (exactly so for integer values, whose total
+        is exact); ``count=0`` is a no-op."""
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(
+                f"observation count must be a non-negative int, got {count!r}"
+            )
+        if count == 0:
+            return
+        self.count += count
+        self.total += value * count
         self.vmin = value if self.vmin is None else min(self.vmin, value)
         self.vmax = value if self.vmax is None else max(self.vmax, value)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
-                self.counts[i] += 1
+                self.counts[i] += count
                 return
-        self.overflow += 1
+        self.overflow += count
 
     def to_dict(self) -> dict:
         return {
@@ -194,8 +203,10 @@ class MetricsRegistry:
     def gauge_max(self, name: str, value: float) -> None:
         self.gauge(name).set_max(value)
 
-    def observe(self, name: str, value: float, buckets=DEFAULT_BUCKETS) -> None:
-        self.histogram(name, buckets).observe(value)
+    def observe(
+        self, name: str, value: float, count: int = 1, buckets=DEFAULT_BUCKETS
+    ) -> None:
+        self.histogram(name, buckets).observe(value, count)
 
     # -- reading -------------------------------------------------------- #
     def value(self, name: str, default: float = 0) -> float:

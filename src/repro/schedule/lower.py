@@ -41,6 +41,7 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
+from repro.machine.sequential import STREAM_BUFFERS, TILE_BUFFERS, stream_chunks
 from repro.schedule.ir import Op, OpKind, ScheduleIR
 from repro.schedule.spec import ScheduleSpec
 
@@ -75,8 +76,9 @@ class _Recorder:
     executors make, appended to ``ops`` instead of counted.
 
     Each transfer or fast buffer becomes a LOAD, STORE, ALLOC or FREE op
-    tagged with the active :meth:`phase`; a :meth:`replay` becomes a
-    REPLAY op whose span is the segment's op range.  Slow arrays are
+    tagged with the active :meth:`phase`; the bulk calls expand into the
+    ops of their per-chunk loops; a :meth:`replay` becomes a REPLAY op
+    whose span is the segment's op range.  Slow arrays are
     zeros and loads are views, so the executors' numpy work runs on
     throwaway data.  No counters: the backends count the ops and check
     capacity.
@@ -127,6 +129,25 @@ class _Recorder:
 
     def free(self, name: str) -> None:
         self._emit(OpKind.FREE, name, self.fast.pop(name).size)
+
+    def stream_combination(self, sources, dst, shape, budget) -> None:
+        acc, src = STREAM_BUFFERS
+        for _r, _c, rows, cols in stream_chunks(shape, budget):
+            w = rows * cols
+            self._emit(OpKind.ALLOC, acc, w)
+            for _ in sources:
+                self._emit(OpKind.LOAD, src, w)
+                self._emit(OpKind.FREE, src, w)
+            self._emit(OpKind.STORE, acc, w)
+            self._emit(OpKind.FREE, acc, w)
+
+    def tile_k_loop(self, a_name, b_name, into, i, j, b, qk) -> None:
+        at, bt = TILE_BUFFERS
+        for _k in range(qk):
+            self._emit(OpKind.LOAD, at, b * b)
+            self._emit(OpKind.LOAD, bt, b * b)
+            self._emit(OpKind.FREE, at, b * b)
+            self._emit(OpKind.FREE, bt, b * b)
 
     def compute(self):
         return _NO_COMPUTE

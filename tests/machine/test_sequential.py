@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.machine import sequential
 from repro.machine.sequential import (
     FastMemoryOverflow,
     SequentialMachine,
     StrictAccountingError,
 )
+from repro.obs.metrics import collecting
+from repro.schedule.lower import _Recorder
 
 
 class TestTransfers:
@@ -226,3 +229,202 @@ class TestStrictMode:
         a = m.allocate("a", (b, b))
         with m.compute(scratch_words=b * b):
             _ = a @ a  # temporary is declared, so the block is clean
+
+
+# --------------------------------------------------------------------- #
+# bulk transfer runs against their per-chunk loops
+# --------------------------------------------------------------------- #
+def _oracle_stream(machine, sources, dst, shape, budget):
+    """The per-chunk loop :meth:`SequentialMachine.stream_combination`
+    replaces: one accumulator per chunk, one loaded source chunk at a time."""
+    hr, hc = shape
+    rows_budget, cols_budget = budget
+    dname, dr, dc = dst
+    r = 0
+    while r < hr:
+        rows = min(rows_budget, hr - r)
+        c = 0
+        while c < hc:
+            cols = min(cols_budget, hc - c)
+            acc = machine.allocate("_acc", (rows, cols))
+            for sname, sr, sc, coeff in sources:
+                chunk = machine.load_slice(
+                    sname,
+                    np.s_[sr + r : sr + r + rows, sc + c : sc + c + cols],
+                    "_src",
+                )
+                with machine.compute():
+                    if coeff != 1.0:
+                        np.multiply(chunk, coeff, out=chunk)
+                    np.add(acc, chunk, out=acc)
+                machine.free("_src")
+            machine.store_slice(
+                "_acc", dname, np.s_[dr + r : dr + r + rows, dc + c : dc + c + cols]
+            )
+            machine.free("_acc")
+            c += cols
+        r += rows
+
+
+def _oracle_tiles(machine, a_name, b_name, into, i, j, b, qk):
+    """The per-k loop :meth:`SequentialMachine.tile_k_loop` replaces, with
+    the product routed through the charged scratch tile ``Pt``."""
+    c_tile, p_tile = machine.fast[into], machine.fast["Pt"]
+    for k in range(qk):
+        a = machine.load_slice(
+            a_name, np.s_[i * b : (i + 1) * b, k * b : (k + 1) * b], "At",
+            copy=False,
+        )
+        bt = machine.load_slice(
+            b_name, np.s_[k * b : (k + 1) * b, j * b : (j + 1) * b], "Bt",
+            copy=False,
+        )
+        with machine.compute():
+            np.matmul(a, bt, out=p_tile)
+            np.add(c_tile, p_tile, out=c_tile)
+        machine.free("At")
+        machine.free("Bt")
+
+
+def _operand(rng, shape):
+    """Random values with signed zeros mixed in (the bulk sums must keep
+    the loop's sign of zero)."""
+    x = rng.standard_normal(shape)
+    x.flat[::5] = 0.0
+    x.flat[1::7] = -0.0
+    return x
+
+
+def _observed(machine, run):
+    """(counters, registry snapshot, hook events) of ``run(machine)``."""
+    events: list[dict] = []
+    sequential.add_trace_hook(events.append)
+    try:
+        with collecting() as reg:
+            run(machine)
+    finally:
+        sequential.remove_trace_hook(events.append)
+    counters = (machine.words_read, machine.words_written,
+                machine.peak_fast_words, machine.fast_words)
+    return counters, reg.to_dict(), events
+
+
+def _budget(shape, M):
+    """stream_linear_combination's chunk budget."""
+    chunk_words = M // 2
+    hc = shape[1]
+    return max(1, chunk_words // hc), hc if chunk_words >= hc else chunk_words
+
+
+COEFFS = (1.0, -1.0, 0.5, -1.0)
+STREAM_CASES = [
+    # (M, block shape): one chunk, ragged row tail, column chunking with a
+    # column tail, both tails, single-row chunks
+    (48, (6, 4)),
+    (48, (10, 4)),
+    (16, (3, 11)),
+    (30, (5, 20)),
+    (12, (4, 7)),
+]
+
+
+class TestBulkStream:
+    def _setup(self, machine, rng, nsrc):
+        machine.place_input("X", _operand(rng, (24, 48)))
+        machine.place_input("Y", _operand(rng, (24, 48)))
+        machine.alloc_slow("D", (24, 48))
+        offsets = [("X", 0, 0), ("Y", 2, 3), ("X", 12, 20), ("Y", 1, 25)]
+        return [(name, r, c, COEFFS[q]) for q, (name, r, c) in
+                enumerate(offsets[:nsrc])]
+
+    @pytest.mark.parametrize("nsrc", [1, 2, 3, 4])
+    @pytest.mark.parametrize("M,shape", STREAM_CASES)
+    def test_matches_chunk_loop(self, M, shape, nsrc):
+        budget = _budget(shape, M)
+        runs = []
+        for bulk in (False, True):
+            m = SequentialMachine(M)
+            sources = self._setup(m, np.random.default_rng(3), nsrc)
+            call = SequentialMachine.stream_combination if bulk else _oracle_stream
+            run = lambda mm: call(mm, sources, ("D", 4, 5), shape, budget)
+            runs.append((*_observed(m, run), m.slow["D"].tobytes()))
+        assert runs[1] == runs[0]
+        assert runs[0][2]  # the hook stream was captured
+
+    @pytest.mark.parametrize("short_by", [1, None])
+    @pytest.mark.parametrize("M,shape", STREAM_CASES)
+    def test_overflow_message_matches(self, M, shape, short_by):
+        budget = _budget(shape, M)
+        first = min(budget[0], shape[0]) * min(budget[1], shape[1])
+        # one word short of room for the source chunk, or for the accumulator
+        preload = M - 2 * first + 1 if short_by else M - first + 1
+        messages = []
+        for bulk in (False, True):
+            m = SequentialMachine(M)
+            sources = self._setup(m, np.random.default_rng(3), 2)
+            m.allocate("held", (preload,))
+            call = SequentialMachine.stream_combination if bulk else _oracle_stream
+            with pytest.raises(FastMemoryOverflow) as err:
+                call(m, sources, ("D", 0, 0), shape, budget)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("M,shape", STREAM_CASES)
+    def test_recorder_expands_to_the_loop_ops(self, M, shape):
+        budget = _budget(shape, M)
+        ops = []
+        for bulk in (False, True):
+            rec = _Recorder(M, [])
+            sources = self._setup(rec, np.random.default_rng(3), 3)
+            call = _Recorder.stream_combination if bulk else _oracle_stream
+            call(rec, sources, ("D", 0, 0), shape, budget)
+            ops.append(rec.ops)
+        assert ops[1] == ops[0]
+
+
+class TestBulkTiles:
+    def _setup(self, machine, b, qk):
+        rng = np.random.default_rng(5)
+        machine.place_input("A", _operand(rng, (2 * b, qk * b)))
+        machine.place_input("B", _operand(rng, (qk * b, 2 * b)))
+        machine.allocate("Pt", (b, b))
+        machine.allocate("Ct", (b, b))
+
+    @pytest.mark.parametrize("qk", [1, 3])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_matches_k_loop(self, b, qk):
+        runs = []
+        for bulk in (False, True):
+            m = SequentialMachine(4 * b * b)
+            self._setup(m, b, qk)
+            call = SequentialMachine.tile_k_loop if bulk else _oracle_tiles
+            run = lambda mm: call(mm, "A", "B", "Ct", 1, 0, b, qk)
+            runs.append((*_observed(m, run), m.fast["Ct"].tobytes()))
+        assert runs[1] == runs[0]
+        assert len(runs[0][2]) == 2 * qk
+
+    @pytest.mark.parametrize("qk", [1, 3])
+    def test_overflow_message_matches(self, qk):
+        b = 2
+        messages = []
+        for bulk in (False, True):
+            m = SequentialMachine(4 * b * b)
+            self._setup(m, b, qk)
+            m.allocate("held", (1,))  # one word short of room for the B tile
+            call = SequentialMachine.tile_k_loop if bulk else _oracle_tiles
+            with pytest.raises(FastMemoryOverflow) as err:
+                call(m, "A", "B", "Ct", 0, 1, b, qk)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("qk", [1, 3])
+    def test_recorder_expands_to_the_loop_ops(self, qk):
+        b = 2
+        ops = []
+        for bulk in (False, True):
+            rec = _Recorder(4 * b * b, [])
+            self._setup(rec, b, qk)
+            call = _Recorder.tile_k_loop if bulk else _oracle_tiles
+            call(rec, "A", "B", "Ct", 1, 1, b, qk)
+            ops.append(rec.ops)
+        assert ops[1] == ops[0]

@@ -67,6 +67,37 @@ class TestHistogram:
         assert d["total"] == sum((0, 1, 2, 4, 5, 16, 17))
         assert (d["min"], d["max"]) == (0, 17)
 
+    @pytest.mark.parametrize("value", [0, 3, 16, 17, 2.5])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_counted_observe_equals_repeated_calls(self, value, k):
+        counted, repeated = Histogram((1, 4, 16)), Histogram((1, 4, 16))
+        counted.observe(5)
+        repeated.observe(5)
+        counted.observe(value, k)
+        for _ in range(k):
+            repeated.observe(value)
+        assert counted.to_dict() == repeated.to_dict()
+
+    def test_registry_observe_takes_a_count(self):
+        counted, repeated = MetricsRegistry(), MetricsRegistry()
+        counted.observe("h", 9, 4)
+        for _ in range(4):
+            repeated.observe("h", 9)
+        assert counted.to_dict() == repeated.to_dict()
+
+    def test_zero_count_is_a_no_op(self):
+        h = Histogram((1, 4))
+        h.observe(3, 0)
+        assert h.to_dict() == Histogram((1, 4)).to_dict()
+        assert (h.vmin, h.vmax) == (None, None)
+
+    @pytest.mark.parametrize("count", [-1, 1.0, 2.5, True, "2"])
+    def test_bad_count_rejected(self, count):
+        h = Histogram((1, 4))
+        with pytest.raises(ValueError):
+            h.observe(3, count)
+        assert h.count == 0
+
     def test_default_buckets_are_powers_of_two(self):
         assert all(b == 2 ** (2 * i) for i, b in enumerate(DEFAULT_BUCKETS))
 
