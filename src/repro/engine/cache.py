@@ -129,7 +129,9 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                # one-shot dumps runs json's C encoder (json.dump streams
+                # through the pure-Python one); the bytes are the same
+                fh.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:

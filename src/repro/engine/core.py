@@ -140,9 +140,9 @@ class EngineConfig:
     sweep_dir:
         An observability directory for the sweep.  When set, the engine
         writes ``results.jsonl`` there (unless ``jsonl_path`` overrides
-        it), maintains an incremental ``manifest.json`` run manifest, and
-        puts profiling artifacts under ``profiles/``.  This is the
-        directory ``repro report`` consumes.
+        it), a ``manifest.json`` at start and end whose ledger is folded
+        from that stream on load, and profiling artifacts under
+        ``profiles/``.  This is the directory ``repro report`` consumes.
     profile:
         Per-point profiling mode — one of
         :data:`~repro.obs.profile.PROFILE_MODES` ("off", "wall",
@@ -239,14 +239,11 @@ class EngineConfig:
 
     def public_dict(self) -> dict:
         """JSON-safe execution-shaping fields (the manifest's ``config``)."""
+        jsonl_path = self.resolved_jsonl_path()
         return {
             "workers": self.workers,
             "cache_dir": None if self.cache_dir is None else str(self.cache_dir),
-            "jsonl_path": (
-                None
-                if self.resolved_jsonl_path() is None
-                else str(self.resolved_jsonl_path())
-            ),
+            "jsonl_path": None if jsonl_path is None else str(jsonl_path),
             "sweep_dir": None if self.sweep_dir is None else str(self.sweep_dir),
             "profile": self.profile,
             "point_timeout_s": self.point_timeout_s,
@@ -396,8 +393,6 @@ class _SweepRunner:
         if point_metrics:
             # fold the point's machine metrics into the sweep-level view
             self.metrics.merge(point_metrics)
-        if self.manifest is not None:
-            self.manifest.record_point(run)
 
     def _complete(self, task: _Task, metrics: dict, trace: dict, wall: float) -> None:
         if self.cache is not None:
@@ -469,10 +464,8 @@ class _SweepRunner:
         self.failures.append(run)
         self.metrics.inc(f"engine.failures.{status}")
         # skipped records go to the checkpoint stream too: the JSONL file
-        # is a complete account of the sweep, mirroring the manifest
+        # is the sweep's per-point ledger, folded into the manifest on load
         self._write_jsonl(run)
-        if self.manifest is not None:
-            self.manifest.record_point(run)
         if self.config.fail_fast and status != "skipped":
             self.stop = True
 
@@ -681,6 +674,12 @@ class _SweepRunner:
         jsonl_path = cfg.resolved_jsonl_path()
         if jsonl_path is not None:
             jsonl_path.parent.mkdir(parents=True, exist_ok=True)
+            tail = jsonl_path.read_bytes() if jsonl_path.is_file() else b""
+            if tail and not tail.endswith(b"\n"):
+                # a writer killed mid-line left a record it never
+                # acknowledged; appending after it would corrupt the stream
+                with jsonl_path.open("r+b") as fh:
+                    fh.truncate(tail.rfind(b"\n") + 1)
             self._jsonl_fh = jsonl_path.open("a", encoding="utf-8")
         if self.manifest is not None:
             self.manifest.start(cfg.public_dict(), self.parameter, self.points)

@@ -11,9 +11,10 @@ single place those counters flow through:
   and :mod:`repro.engine.core` all publish into.  One registry is active
   per experiment execution; its snapshot crosses the worker boundary as
   one dict per point (``RunResult.trace["metrics"]``).
-* :mod:`repro.obs.manifest` — the incrementally-written ``manifest.json``
-  that makes any sweep directory self-describing (code version, config,
-  host, git SHA, per-point status ledger, sweep-level metrics).
+* :mod:`repro.obs.manifest` — the ``manifest.json`` written at sweep
+  start and end that makes any sweep directory self-describing (code
+  version, config, host, git SHA, sweep-level metrics, and a per-point
+  status ledger folded from the JSONL checkpoint on load).
 * :mod:`repro.obs.profile` — per-point profiling artifacts
   (``EngineConfig.profile = "off" | "wall" | "cprofile" | "tracemalloc"``)
   written next to the JSONL checkpoint.

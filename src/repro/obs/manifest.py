@@ -1,12 +1,14 @@
 """The run manifest: ``manifest.json`` makes a sweep directory self-describing.
 
-``_SweepRunner`` writes the manifest *incrementally* — the header when the
-sweep starts, one ledger update per completed/failed point, the sweep-level
-metrics snapshot at the end — always via atomic temp-file + ``os.replace``,
-so a killed sweep leaves a valid manifest describing exactly what finished.
-Any sweep directory is therefore resumable-by-inspection: the ledger says
-which points are ``ok`` (served from cache on re-run) and which still owe
-an execution.
+``_SweepRunner`` writes it atomically (temp file + ``os.replace``) at
+start — the header and a ``pending`` row per point — and at end or drain,
+adding the stats and the sweep-level metrics snapshot.  The per-point
+ledger lives in the checkpoint stream (``config["jsonl_path"]``, by
+default ``results.jsonl``): :meth:`RunManifest.load` folds it over the
+rows, the last record per key winning, as ``serve.wal.fold_records``
+folds the WAL.  So even a killed sweep's directory is
+resumable-by-inspection: the ledger says which points are ``ok`` (served
+from cache on re-run) and which still owe an execution.
 
 Schema (``MANIFEST_SCHEMA``)::
 
@@ -19,7 +21,7 @@ Schema (``MANIFEST_SCHEMA``)::
       "host": {"platform", "python", "hostname"},
       "config": {<EngineConfig fields that shape execution>},
       "parameter": "n",
-      "points": {
+      "points": {                                   # folded on load
         "<key>": {"kind", "params", "status", "attempts",
                    "cached", "wall_time_s"}
       },
@@ -82,13 +84,25 @@ def _host_info() -> dict:
     }
 
 
+def _ledger_row(run) -> dict:
+    """The ledger row of a finished :class:`~repro.analysis.results.RunResult`."""
+    return {
+        "kind": run.kind,
+        "params": dict(run.params),
+        "status": run.status,
+        "attempts": (run.error or {}).get("attempts", 1 if run.ok else 0),
+        "cached": run.cached,
+        "wall_time_s": run.wall_time_s,
+    }
+
+
 class RunManifest:
-    """Incrementally-maintained manifest for one sweep directory.
+    """The run-level manifest of one sweep directory.
 
     Re-running a sweep into the same directory *merges*: the header is
-    refreshed, existing ledger entries for re-seen keys are overwritten,
-    and entries from earlier runs are kept — matching the append-mode
-    JSONL checkpoint, where the last record per key wins.
+    refreshed, the earlier run's ledger (folded by :meth:`load`) is kept,
+    and re-seen keys not ``ok`` go back to ``pending`` — matching the
+    append-mode JSONL checkpoint, where the last record per key wins.
     """
 
     def __init__(self, sweep_dir: str | Path) -> None:
@@ -130,26 +144,6 @@ class RunManifest:
                 }
         self.write()
 
-    def record_point(self, run, write: bool = True) -> None:
-        """Update one ledger row from a finished :class:`RunResult`.
-
-        ``write=False`` batches: the row is updated in memory and the
-        caller flushes with :meth:`write` on its own schedule — the serve
-        daemon records hundreds of jobs per second and cannot afford an
-        atomic manifest rewrite per job.
-        """
-        attempts = (run.error or {}).get("attempts", 1 if run.ok else 0)
-        self.data["points"][run.key] = {
-            "kind": run.kind,
-            "params": dict(run.params),
-            "status": run.status,
-            "attempts": attempts,
-            "cached": run.cached,
-            "wall_time_s": run.wall_time_s,
-        }
-        if write:
-            self.write()
-
     def finish(self, stats: Mapping[str, float], metrics: Mapping) -> None:
         """Attach the final sweep statistics and metrics snapshot."""
         self.data["stats"] = dict(stats)
@@ -165,8 +159,7 @@ class RunManifest:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # one-shot compact dumps runs json's C encoder (json.dump
-                # and indent both force the pure-Python one); the manifest
-                # is rewritten per point
+                # and indent both force the pure-Python one)
                 fh.write(json.dumps(self.data, sort_keys=True))
             os.replace(tmp, self.path)
         except BaseException:
@@ -178,13 +171,27 @@ class RunManifest:
 
     @staticmethod
     def load(path: str | Path) -> dict:
-        """Read and validate a manifest; raises ValueError when invalid."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read and validate a manifest (ValueError when invalid), folding
+        its sweep's checkpoint stream into the ledger rows it already has
+        (an explicit ``jsonl_path`` may be shared by several sweeps)."""
+        from repro.engine.core import load_results_jsonl
+
+        path = Path(path)
+        data = json.loads(path.read_text(encoding="utf-8"))
         problems = validate_manifest(data)
         if problems:
             raise ValueError(
                 f"{path}: invalid sweep manifest: " + "; ".join(problems)
             )
+        config, own = data["config"], path.parent / "results.jsonl"
+        stream = Path(config.get("jsonl_path") or own)
+        if stream == Path(config.get("sweep_dir") or path.parent) / own.name:
+            stream = own  # a moved or copied sweep dir folds its own log
+        if stream.is_file():
+            points = data["points"]
+            for run in load_results_jsonl(stream):
+                if run.key in points:
+                    points[run.key] = _ledger_row(run)
         return data
 
 

@@ -205,6 +205,37 @@ def _rate(hits: float, misses: float) -> float | None:
     return (hits / total) if total else None
 
 
+#: ledger status of a serve job by its WAL state; a ``done`` job reads as
+#: its result's status
+_WAL_LEDGER = {"pending": "pending", "cancelled": "skipped"}
+
+
+def _ledger(sweep_dir: Path, manifest: dict | None) -> dict | None:
+    """Status counts of the per-point ledger.
+
+    A sweep's ledger is its manifest's, folded from the checkpoint stream
+    on load; a serve directory's is the daemon's job ledger, folded from
+    its WAL.
+    """
+    if manifest is None:
+        return None
+    if manifest.get("parameter") == "serve":
+        from repro.serve.daemon import WAL_NAME
+        from repro.serve.wal import fold_records, iter_records
+
+        jobs = fold_records(iter_records(sweep_dir / WAL_NAME, strict=False))
+        statuses = [
+            _WAL_LEDGER.get(e["status"]) or (e["result"] or {}).get("status", "ok")
+            for e in jobs.values()
+        ]
+    else:
+        statuses = [e.get("status") for e in manifest["points"].values()]
+    return {
+        status: statuses.count(status)
+        for status in ("ok", "pending", "error", "timeout", "skipped")
+    }
+
+
 def build_report(sweep_dir: str | Path, top: int = 5) -> dict:
     """Assemble the machine-readable report for one sweep directory."""
     sweep_dir = Path(sweep_dir)
@@ -281,15 +312,7 @@ def build_report(sweep_dir: str | Path, top: int = 5) -> dict:
         }
         if manifest
         else None,
-        "ledger": {
-            status: sum(
-                1 for e in (manifest or {}).get("points", {}).values()
-                if e.get("status") == status
-            )
-            for status in ("ok", "pending", "error", "timeout", "skipped")
-        }
-        if manifest
-        else None,
+        "ledger": _ledger(sweep_dir, manifest),
         "runs": {
             "total": len(runs),
             "ok": sum(1 for r in runs if r.ok),

@@ -209,7 +209,6 @@ class Daemon:
         self.manifest = RunManifest(config.serve_dir)
         self.manifest.start(config.public_dict(), parameter="serve", points=[])
         self._manifest_lock = threading.Lock()
-        self._manifest_dirty = False
 
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
@@ -302,7 +301,7 @@ class Daemon:
             self.metrics.inc("serve.jobs.orphaned")
         self.wal.sync()
         self.wal.close()
-        self._flush_manifest(force=True)
+        self._flush_manifest()
         try:
             (self.config.serve_dir / ENDPOINT_NAME).unlink()
         except FileNotFoundError:
@@ -368,13 +367,10 @@ class Daemon:
                 self.wal.append("done", id=follower.id, result=result)
         job.finish(result, state=state)
         self.coalescer.release(job)
-        run = RunResult.from_dict(result)
-        with self._manifest_lock:
-            self.manifest.record_point(run, write=False)
-            self._manifest_dirty = True
-        name = "serve.jobs.done" if run.ok else "serve.jobs.failed"
+        status = result.get("status", "ok")
+        name = "serve.jobs.done" if status == "ok" else "serve.jobs.failed"
         self.metrics.inc(name, 1 + len(job.followers))
-        if run.status == "timeout":
+        if status == "timeout":
             self.metrics.inc("serve.jobs.expired")
 
     # ------------------------------------------------------------------ #
@@ -508,11 +504,7 @@ class Daemon:
                 self._dispatch(job)
             except Exception as exc:  # never let a dispatcher die silently
                 self.metrics.inc("serve.dispatch.errors")
-                self._finish_job(job, _run_result(
-                    job, {}, {}, False, 0.0, status="error",
-                    error={"type": type(exc).__name__, "message": str(exc),
-                           "attempts": self._job_attempts.get(job.id, 0)},
-                ))
+                self._fail_job(job, exc, self._job_attempts.get(job.id, 0))
 
     def _budget_s(self, job: Job) -> float | None:
         """Tightest applicable limit: deadline remainder vs point timeout."""
@@ -577,44 +569,38 @@ class Daemon:
             error={"type": err_type, "message": message, "attempts": attempts},
         ))
 
+    def _pool_failed(self, job: Job, generation: int, status: str,
+                     err_type: str, message: str) -> None:
+        """An infrastructure failure: charge the breaker, kill the pool,
+        and retry the job (or fail it once out of retries)."""
+        self.breaker.record_failure()
+        self.metrics.inc("serve.pool.broken")
+        self._kill_pool(generation)
+        self._retry_or_fail(job, status, err_type, message)
+
     def _execute_pooled(self, job: Job) -> None:
         pool, generation = self._get_pool()
         budget = self._budget_s(job)
         try:
             future = pool.submit(execute_point, job.spec, None)
         except (BrokenProcessPool, RuntimeError) as exc:
-            self.breaker.record_failure()
-            self.metrics.inc("serve.pool.broken")
-            self._kill_pool(generation)
-            self._retry_or_fail(job, "error", type(exc).__name__, str(exc))
+            self._pool_failed(job, generation, "error", type(exc).__name__, str(exc))
             return
         try:
             metrics, trace, wall = future.result(timeout=budget)
         except FutureTimeout:
             # a worker is hung past every budget: infrastructure failure
-            self.breaker.record_failure()
-            self.metrics.inc("serve.pool.broken")
-            self._kill_pool(generation)
-            self._retry_or_fail(
-                job, "timeout", "TimeoutError",
-                f"execution exceeded budget of {budget:.3f}s",
-            )
+            self._pool_failed(job, generation, "timeout", "TimeoutError",
+                              f"execution exceeded budget of {budget:.3f}s")
             return
         except BrokenProcessPool as exc:
-            self.breaker.record_failure()
-            self.metrics.inc("serve.pool.broken")
-            self._kill_pool(generation)
-            self._retry_or_fail(job, "error", type(exc).__name__, str(exc))
+            self._pool_failed(job, generation, "error", type(exc).__name__, str(exc))
             return
         except Exception as exc:
             # the experiment itself raised: a valid (negative) answer,
             # not a sick pool — the breaker must not trip
             self.breaker.record_success()
-            self._finish_job(job, _run_result(
-                job, {}, {}, False, 0.0, status="error",
-                error={"type": type(exc).__name__, "message": str(exc),
-                       "attempts": self._job_attempts.get(job.id, 0) + 1},
-            ))
+            self._fail_job(job, exc, self._job_attempts.get(job.id, 0) + 1)
             return
         self.breaker.record_success()
         self._complete(job, metrics, trace, wall)
@@ -623,13 +609,17 @@ class Daemon:
         try:
             metrics, trace, wall = execute_point(job.spec, None)
         except Exception as exc:
-            self._finish_job(job, _run_result(
-                job, {}, {}, False, 0.0, status="error",
-                error={"type": type(exc).__name__, "message": str(exc),
-                       "attempts": self._job_attempts.get(job.id, 0) + 1},
-            ))
+            self._fail_job(job, exc, self._job_attempts.get(job.id, 0) + 1)
             return
         self._complete(job, metrics, trace, wall)
+
+    def _fail_job(self, job: Job, exc: Exception, attempts: int) -> None:
+        """Answer a job whose execution raised with an ``error`` result."""
+        self._finish_job(job, _run_result(
+            job, {}, {}, False, 0.0, status="error",
+            error={"type": type(exc).__name__, "message": str(exc),
+                   "attempts": attempts},
+        ))
 
     # ------------------------------------------------------------------ #
     # flushing / introspection
@@ -640,12 +630,10 @@ class Daemon:
             self.wal.sync()
             self._flush_manifest()
 
-    def _flush_manifest(self, force: bool = False) -> None:
+    def _flush_manifest(self) -> None:
+        # run-level facts only: the per-job ledger is the WAL's to keep
         with self._manifest_lock:
-            if not (self._manifest_dirty or force):
-                return
             self.manifest.finish(self.stats(), self.metrics.to_dict())
-            self._manifest_dirty = False
 
     def _write_endpoint(self, host: str, port: int) -> None:
         payload = {

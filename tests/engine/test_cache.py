@@ -19,6 +19,27 @@ class TestResultCache:
         assert key in cache
         assert len(cache) == 1
 
+    def test_entry_bytes_are_sorted_compact_json(self, tmp_path):
+        """Entries stay byte-identical to the streamed ``json.dump`` form
+        they had before ``put`` switched to a one-shot ``json.dumps``."""
+        import io
+
+        cache = ResultCache(tmp_path)
+        key = "ef" + "2" * 62
+        payload = {
+            "kind": "seq_io",
+            "params": {"n": 64, "M": 48, "alg": "strassen", "backend": "symbolic"},
+            "metrics": {"io": 1234567.0, "reads": 1000000, "ratio": 0.1 + 0.2},
+            "trace": {"metrics": {"counters": {"machine.seq.words": 7}},
+                      "events": [], "note": "ω₀ ≈ 2.807"},
+        }
+        cache.put(key, payload)
+        raw = (tmp_path / key[:2] / f"{key}.json").read_bytes()
+        assert raw == json.dumps(payload, sort_keys=True).encode("utf-8")
+        streamed = io.StringIO()
+        json.dump(payload, streamed, sort_keys=True)
+        assert raw == streamed.getvalue().encode("utf-8")
+
     def test_miss_returns_none(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("ff" + "0" * 62) is None

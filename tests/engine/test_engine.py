@@ -186,6 +186,31 @@ class TestRunSweep:
         with pytest.raises(_json.JSONDecodeError):
             load_results_jsonl(path)
 
+    def test_resume_after_torn_line_keeps_stream_readable(self, tmp_path):
+        """A sweep killed mid-line and re-run into the same directory must
+        not glue its next record onto the torn fragment."""
+        from repro.obs import build_report, render_report
+        from repro.obs.manifest import MANIFEST_NAME, RunManifest
+        from repro.obs.report import load_sweep_runs
+
+        sweep_dir = tmp_path / "sweep"
+        cfg = EngineConfig(cache_dir=tmp_path / "cache", sweep_dir=sweep_dir)
+        run_sweep(_points()[:2], cfg)
+        stream = sweep_dir / "results.jsonl"
+        with stream.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": "deadbeef", "kind": "seq_io", "par')  # no newline
+        with pytest.warns(RuntimeWarning, match="truncated final"):
+            res = run_sweep(_points(), cfg)  # the resume reads the torn ledger
+        assert res.stats["cache_hits"] == 2 and not res.failures
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no torn line left to skip
+            assert len(load_results_jsonl(stream)) == 5  # 2 + 3 records
+            assert len(load_sweep_runs(sweep_dir)) == 3
+            ledger = RunManifest.load(sweep_dir / MANIFEST_NAME)["points"]
+        assert sorted(e["status"] for e in ledger.values()) == ["ok"] * 3
+        assert "fitted exponent" in render_report(build_report(sweep_dir))
+
     def test_jsonl_streams_incrementally(self, tmp_path):
         """Each point's line is flushed as it completes, not at sweep end —
         verified by reading the file from a tracer callback mid-sweep."""

@@ -12,10 +12,12 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.engine import EngineConfig, run_sweep, seq_io_point
 from repro.obs.manifest import RunManifest, validate_manifest
 
@@ -45,12 +47,15 @@ print(json.dumps({"interrupted": res.stats.get("interrupted"),
 
 
 def _wait_for_ok_points(manifest_path: Path, want: int, timeout: float = 120.0) -> None:
+    """Poll the folded ledger (manifest + checkpoint stream) until ``want``
+    points read ``ok``."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         try:
-            data = json.loads(manifest_path.read_text(encoding="utf-8"))
-            done = sum(1 for p in data.get("points", {}).values()
-                       if p.get("status") == "ok")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a line may be mid-write
+                points = RunManifest.load(manifest_path)["points"]
+            done = sum(1 for p in points.values() if p.get("status") == "ok")
             if done >= want:
                 return
         except (FileNotFoundError, json.JSONDecodeError):
@@ -59,18 +64,22 @@ def _wait_for_ok_points(manifest_path: Path, want: int, timeout: float = 120.0) 
     raise TimeoutError(f"never saw {want} ok points in {manifest_path}")
 
 
+def _start_driver(tmp_path: Path) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    return subprocess.Popen(
+        [sys.executable, "-c", _DRIVER, str(tmp_path / "sweep"),
+         str(tmp_path / "cache"), str(tmp_path / "faults")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,  # its own process group, pool workers too
+    )
+
+
 @pytest.mark.slow
 def test_sigterm_mid_sweep_drains_cleanly_and_resumes(tmp_path):
     sweep_dir = tmp_path / "sweep"
     cache_dir = tmp_path / "cache"
-    faults_dir = tmp_path / "faults"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _DRIVER, str(sweep_dir), str(cache_dir),
-         str(faults_dir)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
+    proc = _start_driver(tmp_path)
     try:
         # n=8 and n=16 finish fast; n=32 is held asleep by the delay fault
         _wait_for_ok_points(sweep_dir / "manifest.json", want=2)
@@ -103,6 +112,37 @@ def test_sigterm_mid_sweep_drains_cleanly_and_resumes(tmp_path):
     assert not res.failures and len(res.points) == 3
     cached = {int(p.x): p.run.cached for p in res.points}
     assert cached[8] and cached[16] and not cached[32]
+
+
+@pytest.mark.slow
+def test_sigkill_mid_sweep_leaves_a_foldable_ledger_and_resumes(tmp_path):
+    """kill -9 gets no drain: no skipped records, no finish() write.  The
+    ledger must still read what finished — folded from the checkpoint
+    stream over the pending rows written at start."""
+    sweep_dir = tmp_path / "sweep"
+    cache_dir = tmp_path / "cache"
+    proc = _start_driver(tmp_path)
+    try:
+        _wait_for_ok_points(sweep_dir / "manifest.json", want=2)
+    finally:
+        # the driver and its pool workers, which would otherwise sleep on
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+
+    data = RunManifest.load(sweep_dir / "manifest.json")
+    assert validate_manifest(data) == []
+    assert "stats" not in data  # the end-of-sweep write never happened
+    by_n = {p["params"]["n"]: p["status"] for p in data["points"].values()}
+    assert by_n == {8: "ok", 16: "ok", 32: "pending"}
+
+    assert main(["report", str(sweep_dir)]) == 0
+
+    points = [seq_io_point("strassen", n, M) for n in (8, 16, 32)]
+    res = run_sweep(points, EngineConfig(cache_dir=cache_dir))
+    assert not res.failures and len(res.points) == 3
+    assert res.stats["cache_hits"] == 2 and res.stats["cache_misses"] == 1
+    assert not {int(p.x): p.run.cached for p in res.points}[32]
 
 
 def test_handle_signals_off_leaves_handlers_alone():

@@ -1,9 +1,10 @@
-"""RunManifest lifecycle, atomicity, merge-on-rerun, and schema validation."""
+"""RunManifest lifecycle, ledger fold, merge-on-rerun, and schema validation."""
 
 import json
 
 import pytest
 
+from repro.analysis.results import RunResult
 from repro.engine.runners import seq_io_point
 from repro.obs.manifest import (
     MANIFEST_NAME,
@@ -11,6 +12,17 @@ from repro.obs.manifest import (
     RunManifest,
     validate_manifest,
 )
+
+
+def _run(point, **fields) -> RunResult:
+    fields = {"metrics": {"io": 1.0}, **fields}
+    return RunResult(key=point.key, kind=point.kind, params=dict(point.params),
+                     **fields)
+
+
+def _append(stream, run: RunResult) -> None:
+    with stream.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(run.to_dict(), sort_keys=True) + "\n")
 
 
 def _minimal_manifest() -> dict:
@@ -41,20 +53,53 @@ class TestLifecycle:
         assert all(e["status"] == "pending" for e in data["points"].values())
         assert validate_manifest(data) == []
 
-    def test_record_point_updates_one_row(self, tmp_path):
-        from repro.analysis.results import RunResult
-
+    def test_load_folds_checkpoint_stream(self, tmp_path):
+        """The on-disk ledger stays pending; load folds results.jsonl."""
         point = seq_io_point("strassen", 8, 48)
         man = RunManifest(tmp_path)
         man.start({}, "n", [point])
-        run = RunResult(
-            key=point.key, kind=point.kind, params=dict(point.params),
-            metrics={"io": 1.0}, cached=False, wall_time_s=0.25,
-        )
-        man.record_point(run)
-        entry = json.loads((tmp_path / MANIFEST_NAME).read_text())["points"][point.key]
+        _append(tmp_path / "results.jsonl", _run(point, wall_time_s=0.25))
+        on_disk = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert on_disk["points"][point.key]["status"] == "pending"
+        entry = RunManifest.load(tmp_path / MANIFEST_NAME)["points"][point.key]
         assert entry["status"] == "ok"
+        assert entry["attempts"] == 1
         assert entry["wall_time_s"] == 0.25
+
+    def test_fold_last_record_wins_and_counts_attempts(self, tmp_path):
+        point = seq_io_point("strassen", 8, 48)
+        man = RunManifest(tmp_path)
+        man.start({}, "n", [point])
+        stream = tmp_path / "results.jsonl"
+        _append(stream, _run(point))
+        _append(stream, _run(point, status="error", metrics={},
+                             error={"type": "E", "message": "", "attempts": 3}))
+        entry = RunManifest.load(tmp_path / MANIFEST_NAME)["points"][point.key]
+        assert entry["status"] == "error"
+        assert entry["attempts"] == 3
+
+    def test_fold_ignores_keys_outside_the_ledger(self, tmp_path):
+        """An explicit jsonl_path can be shared by several sweeps."""
+        mine, other = (seq_io_point("strassen", n, 48) for n in (8, 16))
+        shared = tmp_path / "shared.jsonl"
+        man = RunManifest(tmp_path / "sweep")
+        man.start({"jsonl_path": str(shared), "sweep_dir": str(tmp_path / "sweep")},
+                  "n", [mine])
+        _append(shared, _run(other))
+        _append(shared, _run(mine))
+        points = RunManifest.load(tmp_path / "sweep" / MANIFEST_NAME)["points"]
+        assert set(points) == {mine.key}
+        assert points[mine.key]["status"] == "ok"
+
+    def test_moved_directory_folds_its_own_stream(self, tmp_path):
+        point = seq_io_point("strassen", 8, 48)
+        man = RunManifest(tmp_path / "a")
+        man.start({"jsonl_path": str(tmp_path / "a" / "results.jsonl"),
+                   "sweep_dir": str(tmp_path / "a")}, "n", [point])
+        _append(tmp_path / "a" / "results.jsonl", _run(point))
+        (tmp_path / "a").rename(tmp_path / "b")
+        points = RunManifest.load(tmp_path / "b" / MANIFEST_NAME)["points"]
+        assert points[point.key]["status"] == "ok"
 
     def test_finish_attaches_stats_and_metrics(self, tmp_path):
         man = RunManifest(tmp_path)
@@ -66,17 +111,13 @@ class TestLifecycle:
 
     def test_rerun_merges_keeps_ok_entries(self, tmp_path):
         """Re-running into the same directory must not lose finished work."""
-        from repro.analysis.results import RunResult
-
         p1 = seq_io_point("strassen", 8, 48)
         p2 = seq_io_point("strassen", 16, 48)
         man = RunManifest(tmp_path)
         man.start({}, "n", [p1])
-        man.record_point(RunResult(
-            key=p1.key, kind=p1.kind, params=dict(p1.params),
-            metrics={"io": 1.0}, wall_time_s=0.5,
-        ))
-        # second sweep into the same directory, superset of points
+        _append(tmp_path / "results.jsonl", _run(p1, wall_time_s=0.5))
+        # second sweep into the same directory, superset of points; the
+        # earlier run was killed before its finish() write
         man2 = RunManifest(tmp_path)
         man2.start({}, "n", [p1, p2])
         data = json.loads((tmp_path / MANIFEST_NAME).read_text())

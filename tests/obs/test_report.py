@@ -294,7 +294,7 @@ class TestServeSection:
             d.submit("seq_io", dict(params, n=16))
         d._dispatch(d.queue.get(timeout=1.0))
         d.cached_answer("seq_io", params)  # one memory fast-path hit
-        d._flush_manifest(force=True)
+        d._flush_manifest()
 
         report = build_report(tmp_path / "serve")
         serve = report["serve"]
@@ -304,6 +304,9 @@ class TestServeSection:
         assert serve["jobs_done"] == 1
         assert serve["cache_hits_mem"] == 1
         assert serve["breaker"]["state"] == "closed"
+        # the job ledger is folded from the WAL, not kept in the manifest
+        assert report["ledger"]["ok"] == 1
+        assert sum(report["ledger"].values()) == 1
 
         rendered = render_report(report)
         assert "## Serving (daemon)" in rendered
