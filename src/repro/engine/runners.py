@@ -296,6 +296,10 @@ def pebble_optimal_point(
     (depth), "diamond_chain" (length), "base_case_slice" (alg, output_index,
     style) — the Strassen sub-CDAG slices of the E7 study.
     """
+    from repro.pebbling.game import PebbleCost
+
+    # rejects negative or non-finite costs before a key is made
+    cost = PebbleCost(float(read_cost), float(write_cost))
     return ExperimentPoint(
         "pebble_optimal",
         {
@@ -303,8 +307,8 @@ def pebble_optimal_point(
             "family_params": {k: family_params[k] for k in sorted(family_params)},
             "M": int(M),
             "allow_recompute": bool(allow_recompute),
-            "read_cost": float(read_cost),
-            "write_cost": float(write_cost),
+            "read_cost": cost.read_cost,
+            "write_cost": cost.write_cost,
             "max_states": int(max_states),
         },
     )
@@ -329,6 +333,10 @@ def pebble_search_point(
     "fft" (n) and "zoo_recursive" (alg, n, style) — the recursive
     H^{n×n} of any zoo algorithm, far past the exhaustive 62-vertex cap.
     """
+    from repro.pebbling.game import PebbleCost
+
+    # rejects negative or non-finite costs before a key is made
+    cost = PebbleCost(float(read_cost), float(write_cost))
     return ExperimentPoint(
         "pebble_search",
         {
@@ -338,8 +346,8 @@ def pebble_search_point(
             "scheduler": str(scheduler),
             "beam_width": int(beam_width),
             "inner": str(inner),
-            "read_cost": float(read_cost),
-            "write_cost": float(write_cost),
+            "read_cost": cost.read_cost,
+            "write_cost": cost.write_cost,
         },
     )
 

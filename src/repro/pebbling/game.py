@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -79,10 +80,23 @@ class Schedule:
 
 @dataclass(frozen=True)
 class PebbleCost:
-    """I/O cost model.  ``write_cost > read_cost`` models NVM (§V)."""
+    """I/O cost model.  ``write_cost > read_cost`` models NVM (§V).
+
+    Both costs must be finite and non-negative (zero is legal): the exact
+    search is Dijkstra, which needs non-negative edge weights, and a NaN
+    cost compares false against every distance.
+    """
 
     read_cost: float = 1.0
     write_cost: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("read_cost", "write_cost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"PebbleCost.{name} must be finite and >= 0, got {value!r}"
+                )
 
     def io(self, loads: int, stores: int) -> float:
         return loads * self.read_cost + stores * self.write_cost
@@ -107,57 +121,72 @@ def validate_schedule(
     Returns a dict with loads, stores, io (under ``cost``), peak_red,
     recomputations (count of compute moves beyond the first per vertex).
     """
-    g = schedule.cdag.graph
+    cdag = schedule.cdag
+    g = cdag.graph
+    num_vertices = g.num_vertices
+    preds = [tuple(g.predecessors(v)) for v in range(num_vertices)]
+    inputs = frozenset(cdag.inputs)
+    LOAD, STORE, COMPUTE, EVICT = (
+        MoveKind.LOAD, MoveKind.STORE, MoveKind.COMPUTE, MoveKind.EVICT
+    )
     red: set[int] = set()
-    blue: set[int] = set(schedule.cdag.inputs)
-    computed_times: dict[int, int] = {}
-    loads = stores = 0
+    blue: set[int] = set(inputs)
+    computed: set[int] = set()
+    loads = stores = recomputations = 0
     peak_red = 0
+    # Only LOAD and COMPUTE add a red pebble, so only they can overflow M
+    # or raise the peak.
     for idx, m in enumerate(schedule.moves):
         v = m.v
-        if not (0 <= v < g.num_vertices):
+        kind = m.kind
+        if not (0 <= v < num_vertices):
             raise ScheduleError(f"move {idx}: vertex {v} does not exist")
-        if m.kind is MoveKind.LOAD:
+        if kind is LOAD:
             if v not in blue:
                 raise ScheduleError(f"move {idx}: load of {v} without a blue pebble")
             if v in red:
                 raise ScheduleError(f"move {idx}: redundant load of red vertex {v}")
             red.add(v)
             loads += 1
-        elif m.kind is MoveKind.STORE:
+        elif kind is STORE:
             if v not in red:
                 raise ScheduleError(f"move {idx}: store of {v} without a red pebble")
             blue.add(v)
             stores += 1
-        elif m.kind is MoveKind.COMPUTE:
-            if schedule.cdag.is_input(v):
+            continue
+        elif kind is COMPUTE:
+            if v in inputs:
                 raise ScheduleError(f"move {idx}: compute of input vertex {v}")
-            missing = [u for u in g.predecessors(v) if u not in red]
-            if missing:
+            if not red.issuperset(preds[v]):
+                missing = [u for u in preds[v] if u not in red]
                 raise ScheduleError(
                     f"move {idx}: compute of {v} with non-red predecessors {missing}"
                 )
-            if v in computed_times and not allow_recompute:
-                raise ScheduleError(
-                    f"move {idx}: recomputation of {v} is forbidden in this run"
-                )
-            computed_times[v] = computed_times.get(v, 0) + 1
+            if v in computed:
+                if not allow_recompute:
+                    raise ScheduleError(
+                        f"move {idx}: recomputation of {v} is forbidden in this run"
+                    )
+                recomputations += 1
+            else:
+                computed.add(v)
             red.add(v)
-        elif m.kind is MoveKind.EVICT:
+        elif kind is EVICT:
             if v not in red:
                 raise ScheduleError(f"move {idx}: evict of non-red vertex {v}")
             red.discard(v)
+            continue
         else:  # pragma: no cover - enum is exhaustive
             raise ScheduleError(f"move {idx}: unknown kind {m.kind}")
         if len(red) > M:
             raise ScheduleError(
                 f"move {idx}: fast memory overflow ({len(red)} > M={M})"
             )
-        peak_red = max(peak_red, len(red))
-    missing_outputs = [v for v in schedule.cdag.outputs if v not in blue]
+        if len(red) > peak_red:
+            peak_red = len(red)
+    missing_outputs = [v for v in cdag.outputs if v not in blue]
     if missing_outputs:
         raise ScheduleError(f"outputs without blue pebbles at end: {missing_outputs}")
-    recomputations = sum(t - 1 for t in computed_times.values())
     stats = {
         "loads": loads,
         "stores": stores,

@@ -155,13 +155,13 @@ def dfs_recompute_schedule(cdag: CDAG, M: int, targets: list[int] | None = None)
 
     def make_room(pinned: set[int]) -> None:
         while len(red) >= M:
-            candidates = [v for v in red if v not in pinned]
+            candidates = red.difference(pinned)
             if not candidates:
                 raise ValueError(
                     f"M={M} too small for DFS recomputation (pinned front too wide)"
                 )
-            # Deterministic victim: ``red`` is a set, so candidates[0] used
-            # to depend on hash-iteration (i.e. insertion) order, making
+            # Deterministic victim: ``red`` is a set, so its first element
+            # would depend on hash-iteration (i.e. insertion) order, making
             # the schedule — and every cache key / I/O count derived from
             # it — vary between equivalent runs.  Smallest id is as good a
             # victim as any for this deliberately recomputation-heavy

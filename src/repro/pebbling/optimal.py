@@ -1,13 +1,30 @@
 """Exact minimum-I/O red-blue pebbling via Dijkstra over game states.
 
-State = (red bitmask, blue bitmask[, computed bitmask when recomputation is
-forbidden]).  Moves and costs follow :mod:`repro.pebbling.game`; compute and
-evict are free, so this is a shortest-path problem with non-negative edge
-weights.  Normalizations that preserve optimality and shrink the space:
+A state is (red bitmask, blue bitmask[, computed bitmask when recomputation
+is forbidden]).  Moves and costs follow :mod:`repro.pebbling.game`; compute
+and evict are free, so this is a shortest-path problem with non-negative
+edge weights.  Normalizations that preserve optimality and shrink the space:
 
 * evict only when fast memory is full (lazy eviction),
 * never load a red vertex, never store a blue one,
 * never compute a vertex that is currently red.
+
+Packed states.  The search keeps each state as one int, its fields laid out
+high to low in tuple order (``n`` = vertex count, bit ``v`` of a field is
+vertex ``v``)::
+
+    allow_recompute=False:  red << 2n | blue << n | computed
+    allow_recompute=True:              red << n  | blue
+
+Every field is below ``2**n``, so comparing two packed ints compares their
+fields lexicographically, exactly as the ``(red, blue[, computed])`` tuples
+compare.  Heap entries are ``(f, g, state)``, so ties on ``(f, g)`` break
+on the state the same way they would on the tuple: the packed search pops
+the same states in the same order and returns the same optimum, the same
+witness and the same failure at the same fuse as a tuple-state search.
+Each move is one int operation on the packed state (OR in a red, blue or
+computed bit, XOR out a red bit), and a compute's legality — not red, every
+predecessor red, not yet computed — is one masked compare per vertex.
 
 The search is exponential — it exists to *certify* small instances: the
 recomputation-wins gadget, tiny trees/diamonds, and the 2×2 base-case CDAG.
@@ -21,6 +38,7 @@ a fix for structurally impossible instances.
 from __future__ import annotations
 
 import heapq
+import numbers
 
 from repro.cdag.core import CDAG
 from repro.pebbling.game import Move, MoveKind, PebbleCost, Schedule
@@ -52,9 +70,10 @@ def writeback_lower_bound(blue: int, output_mask: int, write_cost: float) -> flo
     """Admissible h: every output still missing a blue pebble costs ≥ one store.
 
     Shared by the exact search and the beam search in
-    :mod:`repro.pebbling.search` — both rank states by g + h with this h.
+    :mod:`repro.pebbling.search` — both rank states by g + h with this h
+    (the exact search tabulates it by the count of outputs not yet blue).
     """
-    return write_cost * bin(output_mask & ~blue).count("1")
+    return write_cost * (output_mask & ~blue).bit_count()
 
 
 def optimal_io(
@@ -70,6 +89,10 @@ def optimal_io(
     (the assumption most classical lower bounds make); with the default the
     full game is searched, so comparing the two values on one CDAG measures
     exactly how much recomputation buys.
+
+    Raises :class:`TypeError` if ``M`` is not an integer (a ``bool`` or a
+    float such as 2.5 is refused, not rounded) and :class:`ValueError` if
+    ``M < 1`` or the CDAG has more than 62 vertices, all before searching.
     """
     io, _ = _search(cdag, M, allow_recompute, cost, max_states, witness=False)
     return io
@@ -95,6 +118,11 @@ def optimal_schedule(
     return io, sched
 
 
+#: Move kind by the code a parent pointer stores.
+_MOVE_KINDS = (MoveKind.LOAD, MoveKind.STORE, MoveKind.COMPUTE, MoveKind.EVICT)
+_LOAD, _STORE, _COMPUTE, _EVICT = range(4)
+
+
 def _search(
     cdag: CDAG,
     M: int,
@@ -103,43 +131,62 @@ def _search(
     max_states: int,
     witness: bool,
 ) -> tuple[float, Schedule | None]:
+    if isinstance(M, bool) or not isinstance(M, numbers.Integral):
+        raise TypeError(f"M must be an int, got {type(M).__name__}")
     n = cdag.num_vertices
     if n > 62:
         raise ValueError("optimal search is limited to ≤ 62 vertices (bitmask state)")
     if M < 1:
         raise ValueError("M must be >= 1")
     g = cdag.graph
-    pred_mask = [0] * n
-    for v in range(n):
-        for u in g.predecessors(v):
-            pred_mask[v] |= 1 << u
+    full = (1 << n) - 1
     input_mask = 0
     for v in cdag.inputs:
         input_mask |= 1 << v
     output_mask = 0
     for v in cdag.outputs:
         output_mask |= 1 << v
-    non_inputs = [v for v in range(n) if not (input_mask >> v) & 1]
 
+    # Field offsets of the packed state (see the module docstring).
     track_computed = not allow_recompute
-    start = (0, input_mask, 0) if track_computed else (0, input_mask)
-    best: dict[tuple, float] = {start: 0.0}
-    # parent[state] = (previous state, move that produced state); only
-    # populated when a witness is requested.
-    parent: dict[tuple, tuple[tuple, Move]] = {}
-    # heap entries: (f = g + h, g, state); h = stores still needed for outputs
-    def h_of(blue: int) -> float:
-        return writeback_lower_bound(blue, output_mask, cost.write_cost)
+    rs = 2 * n if track_computed else n
+    bs = n if track_computed else 0
+    # One (test mask, expected, set bits, v) row per non-input vertex, in
+    # vertex order: v may be computed iff state & test == expected, and
+    # computing it ORs in its red (and computed) bit.
+    computes = []
+    for v in range(n):
+        if (input_mask >> v) & 1:
+            continue
+        pm = 0
+        for u in g.predecessors(v):
+            pm |= 1 << u
+        cbit = (1 << v) if track_computed else 0
+        computes.append(
+            (((1 << v) | pm) << rs | cbit, pm << rs, (1 << v) << rs | cbit, v)
+        )
+    out_field = output_mask << bs
+    read_cost, write_cost = cost.read_cost, cost.write_cost
+    # h = stores still needed for outputs, by count of outputs not yet blue
+    h_of_missing = [write_cost * k for k in range(n + 1)]
 
-    heap = [(h_of(input_mask), 0.0, start)]
+    start = input_mask << bs
+    best: dict[int, float] = {start: 0.0}
+    # parent[state] = (previous state, move kind code, vertex); only
+    # populated when a witness is requested.
+    parent: dict[int, tuple[int, int, int]] = {}
+    # heap entries: (f = g + h, g, state)
+    heap = [(h_of_missing[(out_field & ~start).bit_count()], 0.0, start)]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    inf = float("inf")
     popped = 0
 
     while heap:
-        f, dist, state = heapq.heappop(heap)
-        if best.get(state, float("inf")) < dist:
+        _, dist, state = heappop(heap)
+        if best[state] < dist:
             continue
-        red, blue = state[0], state[1]
-        if (blue & output_mask) == output_mask:
+        missing = (out_field & ~state).bit_count()
+        if not missing:
             return dist, _reconstruct(cdag, parent, state) if witness else None
         popped += 1
         if popped > max_states:
@@ -147,53 +194,60 @@ def _search(
                 f"optimal pebbling search exceeded {max_states} states "
                 f"(V={n}, M={M})"
             )
-        red_count = bin(red).count("1")
-        computed = state[2] if track_computed else 0
+        red = state >> rs
+        blue = (state >> bs) & full
+        h = h_of_missing[missing]
+        free_f = dist + h
 
-        def push(nred: int, nblue: int, ncomputed: int, ndist: float,
-                 move: Move) -> None:
-            nstate = (nred, nblue, ncomputed) if track_computed else (nred, nblue)
-            if ndist < best.get(nstate, float("inf")):
-                best[nstate] = ndist
-                if witness:
-                    parent[nstate] = (state, move)
-                heapq.heappush(heap, (ndist + h_of(nblue), ndist, nstate))
-
-        if red_count < M:
+        if red.bit_count() < M:
             # loads: any blue, non-red vertex
-            rem = blue & ~red
+            ndist = dist + read_cost
+            nf = ndist + h
+            rem = (blue & ~red) << rs
             while rem:
                 bit = rem & -rem
                 rem ^= bit
-                v = bit.bit_length() - 1
-                push(red | bit, blue, computed, dist + cost.read_cost,
-                     Move(MoveKind.LOAD, v))
+                nstate = state | bit
+                if ndist < best.get(nstate, inf):
+                    best[nstate] = ndist
+                    if witness:
+                        parent[nstate] = (state, _LOAD, bit.bit_length() - 1 - rs)
+                    heappush(heap, (nf, ndist, nstate))
             # computes
-            for v in non_inputs:
-                bit = 1 << v
-                if red & bit:
-                    continue
-                if (pred_mask[v] & red) != pred_mask[v]:
-                    continue
-                if track_computed and (computed >> v) & 1:
-                    continue
-                push(red | bit, blue, computed | (1 << v) if track_computed else 0,
-                     dist, Move(MoveKind.COMPUTE, v))
+            for test, expected, add, v in computes:
+                if state & test == expected:
+                    nstate = state | add
+                    if dist < best.get(nstate, inf):
+                        best[nstate] = dist
+                        if witness:
+                            parent[nstate] = (state, _COMPUTE, v)
+                        heappush(heap, (free_f, dist, nstate))
         else:
             # fast memory full: evictions (free)
-            rem = red
+            rem = red << rs
             while rem:
                 bit = rem & -rem
                 rem ^= bit
-                push(red & ~bit, blue, computed, dist,
-                     Move(MoveKind.EVICT, bit.bit_length() - 1))
+                nstate = state ^ bit
+                if dist < best.get(nstate, inf):
+                    best[nstate] = dist
+                    if witness:
+                        parent[nstate] = (state, _EVICT, bit.bit_length() - 1 - rs)
+                    heappush(heap, (free_f, dist, nstate))
         # stores: any red, non-blue vertex (allowed regardless of fullness)
-        rem = red & ~blue
+        ndist = dist + write_cost
+        nf = ndist + h
+        nf_output = ndist + h_of_missing[missing - 1]
+        rem = (red & ~blue) << bs
         while rem:
             bit = rem & -rem
             rem ^= bit
-            push(red, blue | bit, computed, dist + cost.write_cost,
-                 Move(MoveKind.STORE, bit.bit_length() - 1))
+            nstate = state | bit
+            if ndist < best.get(nstate, inf):
+                best[nstate] = ndist
+                if witness:
+                    parent[nstate] = (state, _STORE, bit.bit_length() - 1 - bs)
+                heappush(heap, (nf_output if bit & out_field else nf, ndist, nstate))
 
     raise Infeasible(
         f"no complete pebbling exists for CDAG {cdag.name!r} with M={M} "
@@ -202,13 +256,13 @@ def _search(
 
 
 def _reconstruct(
-    cdag: CDAG, parent: dict[tuple, tuple[tuple, Move]], goal: tuple
+    cdag: CDAG, parent: dict[int, tuple[int, int, int]], goal: int
 ) -> Schedule:
     """Walk the parent chain back from the goal state into a move list."""
     moves: list[Move] = []
     state = goal
     while state in parent:
-        state, move = parent[state]
-        moves.append(move)
+        state, code, v = parent[state]
+        moves.append(Move(_MOVE_KINDS[code], v))
     moves.reverse()
     return Schedule(cdag, moves)

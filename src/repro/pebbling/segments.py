@@ -101,20 +101,23 @@ def segment_audit(
     seen: set[int] = set()
     io_in_window = 0
     outputs_in_window = 0
+    total_io = 0
+    io_kinds = (MoveKind.LOAD, MoveKind.STORE)
+    COMPUTE = MoveKind.COMPUTE
     for move in schedule.moves:
-        if move.kind in (MoveKind.LOAD, MoveKind.STORE):
+        kind = move.kind
+        if kind in io_kinds:
             io_in_window += 1
-        elif move.kind is MoveKind.COMPUTE:
-            if move.v in sub_out and move.v not in seen:
-                seen.add(move.v)
+            total_io += 1
+        elif kind is COMPUTE:
+            v = move.v
+            if v in sub_out and v not in seen:
+                seen.add(v)
                 outputs_in_window += 1
                 if outputs_in_window == target_outputs:
                     segment_io.append(io_in_window)
                     io_in_window = 0
                     outputs_in_window = 0
-    total_io = sum(
-        1 for m in schedule.moves if m.kind in (MoveKind.LOAD, MoveKind.STORE)
-    )
     return SegmentReport(
         r=r,
         M=M,

@@ -106,6 +106,31 @@ class TestPebbleSearchPoint:
         assert second.metrics == first.metrics
 
 
+class TestPebbleCostAtBuildTime:
+    @pytest.mark.parametrize("costs", [(-1.0, 1.0), (1.0, float("nan"))])
+    def test_bad_costs_rejected_before_a_point_exists(self, costs):
+        from repro.engine import pebble_search_point
+
+        read_cost, write_cost = costs
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            pebble_optimal_point(
+                "binary_tree", 4, read_cost=read_cost, write_cost=write_cost,
+                depth=2,
+            )
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            pebble_search_point(
+                "binary_tree", 4, read_cost=read_cost, write_cost=write_cost,
+                depth=2,
+            )
+
+    def test_zero_cost_keeps_its_key_params(self):
+        point = pebble_optimal_point(
+            "binary_tree", 4, read_cost=0, write_cost=2, depth=2
+        )
+        assert point.params["read_cost"] == 0.0
+        assert point.params["write_cost"] == 2.0
+
+
 class TestRunSweep:
     def test_repeat_sweep_is_cache_served(self, tmp_path):
         cfg = EngineConfig(cache_dir=tmp_path)

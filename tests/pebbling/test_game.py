@@ -131,6 +131,17 @@ class TestCostModel:
     def test_symmetric_default(self):
         assert PebbleCost().io(3, 2) == 5.0
 
+    def test_zero_costs_are_legal(self):
+        assert PebbleCost(0.0, 0.0).io(3, 2) == 0.0
+
+    @pytest.mark.parametrize(
+        "read_cost, write_cost",
+        [(-1.0, 1.0), (1.0, -0.5), (float("nan"), 1.0), (1.0, float("inf"))],
+    )
+    def test_negative_or_non_finite_rejected(self, read_cost, write_cost):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            PebbleCost(read_cost, write_cost)
+
     def test_nvm_asymmetric(self):
         cost = PebbleCost(read_cost=1, write_cost=5)
         stats = validate_schedule(valid_schedule(path3()), M=3, cost=cost)

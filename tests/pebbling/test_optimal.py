@@ -189,3 +189,14 @@ class TestGuards:
     def test_bad_m(self):
         with pytest.raises(ValueError):
             optimal_io(path(3), M=0)
+
+    @pytest.mark.parametrize("M", [2.5, 3.0, True, "3", None])
+    def test_non_integral_m_rejected(self, M):
+        """M=2.5 used to search as M=3; M=True as M=1 (Infeasible)."""
+        for search in (optimal_io, optimal_schedule):
+            with pytest.raises(TypeError, match="M must be an int"):
+                search(binary_tree_cdag(2), M)
+
+    def test_numpy_int_m_accepted(self):
+        np = pytest.importorskip("numpy")
+        assert optimal_io(path(3), np.int64(2)) == optimal_io(path(3), 2)
