@@ -177,6 +177,15 @@ def reference_exponent(spec) -> tuple[str, float]:
 # --------------------------------------------------------------------- #
 # point builders (the declarative surface the benchmarks use)
 # --------------------------------------------------------------------- #
+def _point(kind: str, params: dict, backend: str | None) -> ExperimentPoint:
+    """``backend`` joins params unless it is None or "machine" (what a
+    point without one runs on), so one computation has one cache key —
+    the pre-backend key."""
+    if backend not in (None, "machine"):
+        params["backend"] = str(backend)
+    return ExperimentPoint(kind, params)
+
+
 def seq_io_point(
     alg,
     n: int,
@@ -196,23 +205,18 @@ def seq_io_point(
     ``replay=False`` to force the full execution with its ``C == A @ B``
     assertion.
 
-    ``backend`` routes the point through :func:`repro.schedule.run`
-    ("reference", "vector", "symbolic" — the symbolic backend reaches
-    n ≥ 4096 in milliseconds); None (the default) runs the physical
-    machine executor.  The key is backward-compatible: ``backend`` is
-    omitted from params when None, so pre-redesign cache entries stay
-    valid.
+    ``backend`` names the :func:`repro.schedule.run` backend that counts
+    the point ("reference", "vector", "symbolic" — the symbolic backend
+    reaches n ≥ 4096 in milliseconds); None or "machine" (the default)
+    runs the physical executor on seeded operands.
     """
-    params = {
+    return _point("seq_io", {
         "alg": algorithm_spec(alg),
         "n": int(n),
         "M": int(M),
         "seed": int(seed),
         "replay": bool(replay),
-    }
-    if backend is not None:
-        params["backend"] = str(backend)
-    return ExperimentPoint("seq_io", params)
+    }, backend)
 
 
 def hybrid_point(
@@ -233,13 +237,12 @@ def hybrid_point(
     pure classical execution and ``cutoff >= hybrid_depth(...)`` the pure
     fast one, so a sweep over ℓ×M traces the bound-regime change that
     De Stefani's hybrid bounds (arXiv:1904.12804) predict.  ``alg`` must
-    be a bilinear algorithm reference (any zoo entry); ``backend`` routes
-    through :func:`repro.schedule.run` and is omitted from params when
-    None (cache-key stable), like ``seq_io``.
+    be a bilinear algorithm reference (any zoo entry); ``backend`` as for
+    ``seq_io``.
     """
     if alg is None or alg == "karstadt_schwartz":
         raise ValueError("hybrid points need a plain bilinear algorithm")
-    params = {
+    return _point("hybrid", {
         "alg": algorithm_spec(alg),
         "n": int(n),
         "M": int(M),
@@ -247,10 +250,7 @@ def hybrid_point(
         "seed": int(seed),
         "replay": bool(replay),
         "leaf": str(leaf),
-    }
-    if backend is not None:
-        params["backend"] = str(backend)
-    return ExperimentPoint("hybrid", params)
+    }, backend)
 
 
 def parallel_comm_point(
@@ -380,32 +380,53 @@ def lru_trace_point(
     ``kernel`` selects the cache simulation path ("auto", "vector",
     "scalar"); ``row_replay`` enables the O(1) replay of repeated i-rows
     once the cache state cycles (exact, certified by the cross-check
-    tests).  ``backend`` routes through :func:`repro.schedule.run`;
-    omitted from params when None (cache-key stable).
+    tests).  ``backend`` as for ``seq_io``.
     """
-    params = {
+    return _point("lru_trace", {
         "n": int(n),
         "M": int(M),
         "kernel": str(kernel),
         "row_replay": bool(row_replay),
-    }
-    if backend is not None:
-        params["backend"] = str(backend)
-    return ExperimentPoint("lru_trace", params)
+    }, backend)
 
 
 # --------------------------------------------------------------------- #
 # executors
 # --------------------------------------------------------------------- #
-def _seq_io_bound(params: dict, alg) -> float:
+#: ABMM phase metrics a seq_io point carries through from its report.
+_PHASE_METRICS = ("io_transform_forward", "io_bilinear", "io_transform_inverse",
+                  "io_total", "transform_fraction")
+
+
+def _seq_io_bound(kind: str, params: dict, alg) -> dict:
+    """The bound fields of a ``seq_io`` or ``hybrid`` point."""
     from repro.bounds.formulas import classical_sequential, fast_sequential
 
     n, M = params["n"], params["M"]
+    if kind == "seq_io" and alg is None:
+        return {"bound": float(classical_sequential(n, M)), "n_eff": float(n)}
+    if kind == "seq_io" and params["alg"] == "karstadt_schwartz":
+        return {"bound": float(fast_sequential(n, M)), "n_eff": float(n)}
     if alg is None:
-        return classical_sequential(n, M)
-    if params["alg"] == "karstadt_schwartz":
-        return fast_sequential(n, M)
-    return fast_sequential(_effective_dim(alg, n), M, alg.omega0)
+        raise ValueError("hybrid points need a bilinear algorithm")
+    n_eff = _effective_dim(alg, n)
+    bound_fast = float(fast_sequential(n_eff, M, alg.omega0))
+    if kind == "seq_io":
+        return {"bound": bound_fast, "n_eff": n_eff}
+    from repro.execution.hybrid import hybrid_depth
+
+    bound_classical = float(classical_sequential(n_eff, M))
+    return {
+        # the weaker of the two pure floors: a conservative reference line
+        # any hybrid obeys (De Stefani's exact hybrid bound interpolates
+        # between them with the cutoff).
+        "bound": min(bound_fast, bound_classical),
+        "bound_fast": bound_fast,
+        "bound_classical": bound_classical,
+        "n_eff": n_eff,
+        "cutoff": float(int(params["cutoff"])),
+        "depth": float(hybrid_depth(alg, n, M)),
+    }
 
 
 def _effective_dim(alg, n: int) -> float:
@@ -424,147 +445,39 @@ def _effective_dim(alg, n: int) -> float:
     return float((R * K * C) ** (1.0 / 3.0))
 
 
-def _run_seq_io(params: dict) -> dict:
-    from repro.machine.sequential import SequentialMachine
+def _run_seq_io(params: dict, kind: str = "seq_io") -> dict:
+    """A ``seq_io`` or ``hybrid`` point: one :func:`repro.schedule.run`
+    of its schedule (the ``machine`` backend unless the point names one)
+    plus the kind's bound fields.
+
+    When params omit ``replay`` a ``seq_io`` point runs in full (and
+    checks the product) while a ``hybrid`` point replays.
+    """
+    from repro import schedule as _schedule
 
     alg = resolve_algorithm(params["alg"])
     n, M, seed = params["n"], params["M"], params["seed"]
-    replay = bool(params.get("replay", False))
-    bound = _seq_io_bound(params, alg)
-    is_bilinear = alg is not None and params["alg"] != "karstadt_schwartz"
-    n_eff = _effective_dim(alg, n) if is_bilinear else float(n)
-    backend = params.get("backend")
-    if backend:
-        from repro import schedule as _schedule
-
-        report = _schedule.run(
-            _schedule.seq_io_schedule(alg, n, M, replay=replay), backend=backend
-        )
-        metrics = {
-            "io": float(report.io),
-            "reads": int(report.reads),
-            "writes": int(report.writes),
-            "peak_fast": int(report.peak_fast),
-            "io_cost": float(report.io),
-            "bound": float(bound),
-            "n_eff": float(n_eff),
-        }
-        metrics.update(
-            {
-                k: float(v)
-                for k, v in report.metrics.items()
-                if k.startswith("io_transform") or k in (
-                    "io_bilinear", "io_total", "transform_fraction"
-                )
-            }
-        )
-        return metrics
-    rng = np.random.default_rng(seed)
-    if is_bilinear and not getattr(alg, "is_square", True):
-        from repro.algorithms.bilinear import recursion_shape
-
-        R, K, C_cols = recursion_shape(alg, n)
-        A = rng.standard_normal((R, K))
-        B = rng.standard_normal((K, C_cols))
-    else:
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-    machine = SequentialMachine(M)
-    phases: dict = {}
-    if alg is None:
-        from repro.execution.classical_tiled import execute_tiled
-
-        C = execute_tiled(machine, A, B, replay=replay)
-    elif params["alg"] == "karstadt_schwartz":
-        from repro.execution.abmm_exec import execute_abmm
-
-        C, phases = execute_abmm(machine, alg, A, B, level_replay=replay)
-    else:
-        from repro.execution.recursive_bilinear import execute_recursive_bilinear
-
-        C = execute_recursive_bilinear(machine, alg, A, B, level_replay=replay)
-    # replay mode skips computing C by design; otherwise verify the product.
-    if C is not None and not np.allclose(C, A @ B):
-        raise AssertionError(f"wrong product at n={n}")
-    stats = machine.stats()
+    bound = _seq_io_bound(kind, params, alg)
+    hybrid = kind == "hybrid"
+    split = {"cutoff": int(params["cutoff"]),
+             "leaf": str(params.get("leaf", "tiled"))} if hybrid else {}
+    spec = _schedule.seq_io_schedule(
+        alg, n, M, replay=bool(params.get("replay", hybrid)), **split
+    )
+    spec.payload["seed"] = seed
+    report = _schedule.run(spec, backend=params.get("backend") or "machine")
     metrics = {
-        "io": float(machine.io_operations),
-        "reads": int(machine.words_read),
-        "writes": int(machine.words_written),
-        "peak_fast": int(machine.peak_fast_words),
-        "io_cost": float(stats["io_cost"]),
-        "bound": float(bound),
-        "n_eff": float(n_eff),
+        "io": float(report.io),
+        "reads": int(report.reads),
+        "writes": int(report.writes),
+        "peak_fast": int(report.peak_fast),
+        "io_cost": float(report.metrics.get("io_cost", report.io)),
+        **bound,
     }
-    metrics.update({k: float(v) for k, v in phases.items()})
+    metrics.update(
+        {k: float(v) for k, v in report.metrics.items() if k in _PHASE_METRICS}
+    )
     return metrics
-
-
-def _run_hybrid(params: dict) -> dict:
-    from repro.execution.hybrid import hybrid_depth
-    from repro.machine.sequential import SequentialMachine
-
-    alg = resolve_algorithm(params["alg"])
-    if alg is None:
-        raise ValueError("hybrid points need a bilinear algorithm")
-    n, M, seed = params["n"], params["M"], params["seed"]
-    cutoff = int(params["cutoff"])
-    leaf = str(params.get("leaf", "tiled"))
-    replay = bool(params.get("replay", True))
-    n_eff = _effective_dim(alg, n)
-    from repro.bounds.formulas import classical_sequential, fast_sequential
-
-    bound_fast = fast_sequential(n_eff, M, alg.omega0)
-    bound_classical = classical_sequential(n_eff, M)
-    base = {
-        # the weaker of the two pure floors: a conservative reference line
-        # any hybrid obeys (De Stefani's exact hybrid bound interpolates
-        # between them with the cutoff).
-        "bound": float(min(bound_fast, bound_classical)),
-        "bound_fast": float(bound_fast),
-        "bound_classical": float(bound_classical),
-        "n_eff": float(n_eff),
-        "cutoff": float(cutoff),
-        "depth": float(hybrid_depth(alg, n, M)),
-    }
-    backend = params.get("backend")
-    if backend:
-        from repro import schedule as _schedule
-
-        report = _schedule.run(
-            _schedule.seq_io_schedule(
-                alg, n, M, replay=replay, cutoff=cutoff, leaf=leaf
-            ),
-            backend=backend,
-        )
-        return {
-            "io": float(report.io),
-            "reads": int(report.reads),
-            "writes": int(report.writes),
-            "peak_fast": int(report.peak_fast),
-            "io_cost": float(report.io),
-            **base,
-        }
-    from repro.algorithms.bilinear import recursion_shape
-    from repro.execution.hybrid import execute_hybrid
-
-    rng = np.random.default_rng(seed)
-    R, K, C_cols = recursion_shape(alg, n)
-    A = rng.standard_normal((R, K))
-    B = rng.standard_normal((K, C_cols))
-    machine = SequentialMachine(M)
-    C = execute_hybrid(machine, alg, A, B, cutoff, leaf=leaf, level_replay=replay)
-    if C is not None and not np.allclose(C, A @ B):
-        raise AssertionError(f"wrong product at n={n}")
-    stats = machine.stats()
-    return {
-        "io": float(machine.io_operations),
-        "reads": int(machine.words_read),
-        "writes": int(machine.words_written),
-        "peak_fast": int(machine.peak_fast_words),
-        "io_cost": float(stats["io_cost"]),
-        **base,
-    }
 
 
 def _run_parallel_comm(params: dict) -> dict:
@@ -778,31 +691,15 @@ def _run_segment_audit(params: dict) -> dict:
 
 
 def _run_lru_trace(params: dict) -> dict:
+    from repro import schedule as _schedule
     from repro.bounds.formulas import classical_sequential
 
     n, M = params["n"], params["M"]
-    backend = params.get("backend")
-    if backend:
-        from repro import schedule as _schedule
-
-        stats = _schedule.run(
-            _schedule.lru_trace_schedule(
-                n,
-                M,
-                kernel=params.get("kernel", "auto"),
-                row_replay=bool(params.get("row_replay", True)),
-            ),
-            backend=backend,
-        ).metrics
-    else:
-        from repro.execution.classical_tiled import execute_lru_trace
-
-        stats = execute_lru_trace(
-            n,
-            M,
-            kernel=params.get("kernel", "auto"),
-            row_replay=bool(params.get("row_replay", True)),
-        )
+    spec = _schedule.lru_trace_schedule(
+        n, M, kernel=params.get("kernel", "auto"),
+        row_replay=bool(params.get("row_replay", True)),
+    )
+    stats = _schedule.run(spec, backend=params.get("backend") or "machine").metrics
     return {
         "io": float(stats["io"]),
         "hits": int(stats["hits"]),
@@ -814,7 +711,7 @@ def _run_lru_trace(params: dict) -> dict:
 
 _EXECUTORS = {
     "seq_io": _run_seq_io,
-    "hybrid": _run_hybrid,
+    "hybrid": lambda params: _run_seq_io(params, "hybrid"),
     "parallel_comm": _run_parallel_comm,
     "pebble_optimal": _run_pebble_optimal,
     "pebble_search": _run_pebble_search,

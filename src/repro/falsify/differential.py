@@ -52,9 +52,8 @@ class DifferentialProbe:
 
     Kinds: ``level_replay`` (params: alg, n, M), ``row_replay`` (params:
     n, M), ``pebble`` (params: family, M, scheduler, family params),
-    ``backend`` (params: workload, alg, n, M — the same point through the
-    reference/vector/symbolic Schedule-IR backends and the physical
-    machine executor).
+    ``backend`` (params: workload, alg, n, M — the same point through
+    every Schedule-IR backend, the physical ``machine`` one included).
     """
 
     kind: str
@@ -529,19 +528,19 @@ def _run_pebble_probe(probe: DifferentialProbe) -> ProbeOutcome:
 
 
 def _run_backend_probe(probe: DifferentialProbe) -> ProbeOutcome:
-    """One workload through every IR backend plus the physical executor.
+    """One workload through every registered backend.
 
-    The cross-checked set: reference (machine-charged op walk), vector
-    (array passes), symbolic (closed forms — seq_io/lru_trace only), and
-    the physical machine execution the IR was lowered from.  Exact
+    The cross-checked set: machine (the physical execution the IR is
+    lowered from), reference (machine-charged op walk), vector (array
+    passes) and symbolic (closed forms — seq_io/lru_trace only).  Exact
     equality of counter views, with two localizers: per-op (reference's
     scalar ledger vs the vector arrays) and per-size (smallest s where
     symbolic leaves the interpreted counts).
 
     ``cutoff`` (with optional ``leaf``) switches the seq_io workload to
-    the hybrid executor: the spec carries the cutoff into every lowering
-    and the machine column runs :func:`~repro.execution.hybrid.
-    execute_hybrid` at the same level.
+    the hybrid variant: the spec carries the cutoff into every backend,
+    the machine column included (:func:`~repro.execution.hybrid.
+    execute_hybrid` at the same level).
     """
     from repro import schedule as _schedule
     from repro.schedule.ir import BackendUnsupported
@@ -561,9 +560,12 @@ def _run_backend_probe(probe: DifferentialProbe) -> ProbeOutcome:
     else:
         raise KeyError(f"unknown backend probe workload {workload!r}")
 
-    counters: dict[str, dict] = {}
+    # ``backends`` narrows the cross-check to one backend; the machine
+    # column is always kept, it is what that backend is checked against
     wanted = probe.params.get("backends")
-    for backend in sorted(_schedule.BACKENDS) if wanted is None else wanted:
+    counters: dict[str, dict] = {}
+    for backend in sorted(_schedule.BACKENDS if wanted is None
+                          else {*wanted, "machine"}):
         try:
             report = _schedule.run(spec, backend=backend)
         except BackendUnsupported:
@@ -572,25 +574,6 @@ def _run_backend_probe(probe: DifferentialProbe) -> ProbeOutcome:
             counters[backend] = report.counter_view()
         else:
             counters[backend] = {k: int(report.metrics[k]) for k in keys}
-
-    from repro.engine.runners import (
-        execute_point,
-        hybrid_point,
-        lru_trace_point,
-        seq_io_point,
-    )
-
-    if workload == "seq_io" and cutoff is not None:
-        metrics_p, _, _ = execute_point(
-            hybrid_point(alg, n, M, cutoff, replay=True, leaf=leaf).to_dict()
-        )
-        counters["machine"] = _seq_counter_view(metrics_p)
-    elif workload == "seq_io":
-        metrics_p, _, _ = execute_point(seq_io_point(alg, n, M, replay=True).to_dict())
-        counters["machine"] = _seq_counter_view(metrics_p)
-    else:
-        metrics_p, _, _ = execute_point(lru_trace_point(n, M).to_dict())
-        counters["machine"] = {k: int(metrics_p[k]) for k in keys}
 
     agree = len({tuple(sorted(c.items())) for c in counters.values()}) == 1
     divergence = None

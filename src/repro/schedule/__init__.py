@@ -5,7 +5,8 @@ recursive two-level-memory schedule.  This package makes that object
 explicit — a flat typed op list (:mod:`repro.schedule.ir`) that the
 sequential executions, the LRU trace, the pebbling validator, and the
 BFS-parallel simulator all lower to (:mod:`repro.schedule.lower`) — and
-puts three interchangeable backends behind one facade:
+puts three interchangeable counting backends behind one facade, next to
+the ``machine`` backend that runs the physical execution itself:
 
     >>> from repro import schedule
     >>> spec = schedule.seq_io_schedule("strassen", n=4096, M=4096)

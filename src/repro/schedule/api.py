@@ -5,10 +5,16 @@ build a :class:`~repro.schedule.spec.ScheduleSpec` (or hand in an
 already-lowered :class:`~repro.schedule.ir.ScheduleIR`), pick a backend
 by name, and get a :class:`ScheduleReport` with the workload's exact
 counters.  The physical executors (``repro.execution.execute_*``) remain
-the ground truth every backend is certified against.
+the ground truth every backend is certified against; the ``machine``
+backend runs them behind the same facade.
 
 Backends
 --------
+``machine``     the physical executor on a live :class:`SequentialMachine`
+                (the ``machine`` argument when given) with operands seeded
+                from ``payload["seed"]``; checks C = AB only with replay
+                off; seq_io and lru_trace only.  The engine's points run
+                here when they name no backend
 ``reference``   op-by-op interpretation; for sequential workloads the ops
                 are charged through a live :class:`SequentialMachine`
                 (same capacity checks, counters, and metrics publications
@@ -108,6 +114,16 @@ def _require_spec(spec: ScheduleSpec | None, ir: ScheduleIR | None) -> ScheduleS
 
 
 @dataclass(frozen=True)
+class _MachineBackend:
+    name: str = "machine"
+
+    def execute(self, spec, ir, machine=None) -> dict:
+        from repro.schedule import machine as physical
+
+        return physical.execute(_require_spec(spec, ir), machine)
+
+
+@dataclass(frozen=True)
 class _ReferenceBackend:
     name: str = "reference"
 
@@ -137,9 +153,11 @@ class _SymbolicBackend:
         return symbolic.execute(_require_spec(spec, ir), machine)
 
 
-#: Name → executor.  The CLI's ``--backend`` choices and the engine's
-#: ``backend=`` parameter both resolve through this registry.
+#: Name → executor.  The engine's ``backend=`` parameter resolves through
+#: this registry (no backend means ``machine``); the CLI's ``--backend``
+#: offers the three counting backends.
 BACKENDS: dict[str, Executor] = {
+    "machine": _MachineBackend(),
     "reference": _ReferenceBackend(),
     "vector": _VectorBackend(),
     "symbolic": _SymbolicBackend(),
@@ -178,8 +196,8 @@ def run(
     backend needs the spec's live payload) or an already-lowered
     :class:`ScheduleIR`.  ``machine`` optionally charges the counted I/O
     into a live :class:`~repro.machine.sequential.SequentialMachine`:
-    the reference backend streams every op through it, the other
-    backends fold in the totals.
+    the machine backend executes on it, the reference backend streams
+    every op through it, the other backends fold in the totals.
 
     Raises :class:`BackendUnsupported` when the backend has no counting
     path for the workload kind, :class:`KeyError` for an unknown backend

@@ -12,7 +12,10 @@ per machine call.  The lowering contract
 
 therefore holds by construction: the ops are the executor's own calls —
 same chunking, same buffer lifetimes, same replay boundaries.  The
-``seq_io`` variants name the executor that is run:
+``seq_io`` variants name the executor that is run; :func:`execute_seq_io`
+is the one variant → executor dispatch, shared with the ``machine``
+backend (:mod:`repro.schedule.machine`), which runs the same call on a
+live machine with seeded operands:
 
 * ``hybrid`` — :func:`repro.execution.hybrid.execute_hybrid` with the
   spec's cutoff and tiled / resident-C leaf (De Stefani's hybrid
@@ -46,7 +49,7 @@ from repro.schedule.ir import Op, OpKind, ScheduleIR
 from repro.schedule.spec import ScheduleSpec
 
 __all__ = ["lower", "lower_seq_io", "lower_lru_trace", "lower_pebble",
-           "lower_parallel_comm"]
+           "lower_parallel_comm", "execute_seq_io", "seq_io_operands"]
 
 
 def lower(spec: ScheduleSpec) -> ScheduleIR:
@@ -168,10 +171,24 @@ class _Recorder:
         self._emit(OpKind.REPLAY, label, 0, segment)
 
 
-def lower_seq_io(spec: ScheduleSpec) -> ScheduleIR:
-    """Lower a sequential out-of-core matmul workload by running its
-    executor on zero operands against a :class:`_Recorder`."""
+def seq_io_operands(spec: ScheduleSpec) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Shapes of A and B of a ``seq_io`` spec: the recursion shape of the
+    DFS variants (rectangular for ⟨n,m,p⟩ algorithms), n×n otherwise."""
     from repro.algorithms.bilinear import recursion_shape
+
+    n = spec.params["n"]
+    if spec.params.get("variant", "recursive") in ("recursive", "hybrid"):
+        R, K, C = recursion_shape(spec.payload["alg"], n)
+    else:
+        R = K = C = n
+    return (R, K), (K, C)
+
+
+def execute_seq_io(machine, spec: ScheduleSpec, A, B) -> tuple:
+    """Run the executor a ``seq_io`` spec's variant names on ``machine`` —
+    a live :class:`~repro.machine.sequential.SequentialMachine` (the
+    ``machine`` backend) or a :class:`_Recorder` (lowering).  Returns
+    (C, ABMM phase metrics); C is None under level replay."""
     from repro.execution import (
         execute_abmm,
         execute_hybrid,
@@ -180,27 +197,30 @@ def lower_seq_io(spec: ScheduleSpec) -> ScheduleIR:
     )
 
     p = spec.params
-    n, M = p["n"], p["M"]
     variant = p.get("variant", "recursive")
     replay = bool(p.get("replay", True))
     alg = spec.payload["alg"]
-    ir = ScheduleIR(kind="seq_io", params=dict(p))
-    rec = _Recorder(M, ir.ops)
-    dfs = variant in ("recursive", "hybrid")
-    R, K, C = recursion_shape(alg, n) if dfs else (n, n, n)
-    A, B = np.zeros((R, K)), np.zeros((K, C))
     if variant == "tiled":
-        execute_tiled(rec, A, B, replay=replay)
-    elif variant == "abmm":
-        execute_abmm(rec, alg, A, B, p.get("base_size"), level_replay=replay)
-    elif variant == "recursive":
-        execute_recursive_bilinear(rec, alg, A, B, p.get("base_size"),
-                                   level_replay=replay)
-    elif variant == "hybrid":
-        execute_hybrid(rec, alg, A, B, p["cutoff"], p.get("base_size"),
-                       p.get("leaf", "tiled"), level_replay=replay)
-    else:
-        raise KeyError(f"unknown seq_io variant {variant!r}")
+        return execute_tiled(machine, A, B, replay=replay), {}
+    if variant == "abmm":
+        return execute_abmm(machine, alg, A, B, p.get("base_size"),
+                            level_replay=replay)
+    if variant == "recursive":
+        return execute_recursive_bilinear(machine, alg, A, B, p.get("base_size"),
+                                          level_replay=replay), {}
+    if variant == "hybrid":
+        return execute_hybrid(machine, alg, A, B, p["cutoff"], p.get("base_size"),
+                              p.get("leaf", "tiled"), level_replay=replay), {}
+    raise KeyError(f"unknown seq_io variant {variant!r}")
+
+
+def lower_seq_io(spec: ScheduleSpec) -> ScheduleIR:
+    """Lower a sequential out-of-core matmul workload by running its
+    executor on zero operands against a :class:`_Recorder`."""
+    ir = ScheduleIR(kind="seq_io", params=dict(spec.params))
+    a_shape, b_shape = seq_io_operands(spec)
+    execute_seq_io(_Recorder(spec.params["M"], ir.ops), spec,
+                   np.zeros(a_shape), np.zeros(b_shape))
     return ir
 
 

@@ -94,6 +94,15 @@ class TestAgreement:
             p.params.get("backends") == ["symbolic"] for p in probes
         )
 
+    def test_narrowed_probe_keeps_machine_column(self):
+        probe = DifferentialProbe(
+            "backend", {"workload": "seq_io", "alg": "strassen", "n": 16,
+                        "M": 48, "backends": ["vector"]}
+        )
+        outcome = run_differential([probe]).outcomes[0]
+        assert outcome.agree
+        assert set(outcome.counters) == {"vector", "machine"}
+
     def test_metrics_published(self):
         probes = [DifferentialProbe("row_replay", {"n": 6, "M": 16})]
         with collecting() as reg:

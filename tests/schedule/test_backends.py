@@ -1,10 +1,10 @@
 """Backend equivalence and the unified facade.
 
-The three backends must be *exactly* interchangeable wherever they
-overlap: reference (op-by-op machine interpretation), vector (numpy
-array passes), symbolic (closed-form recurrences).  Divergence of even
-one word is a bug — that exactness is what the differential harness
-leans on.
+The backends must be *exactly* interchangeable wherever they overlap:
+machine (the physical executor), reference (op-by-op machine
+interpretation), vector (numpy array passes), symbolic (closed-form
+recurrences).  Divergence of even one word is a bug — that exactness is
+what the differential harness leans on.
 """
 
 import pytest
@@ -25,16 +25,26 @@ GRID = [
 ]
 
 
+def _assert_seq_io_agree(spec):
+    views = {
+        name: schedule.run(spec, backend=name).counter_view()
+        for name in sorted(BACKENDS)
+    }
+    assert views["machine"] == views["reference"]
+    assert views["vector"] == views["reference"]
+    assert views["symbolic"] == views["reference"]
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("alg,n,M", GRID)
     def test_seq_io_backends_agree_exactly(self, alg, n, M):
-        spec = schedule.seq_io_schedule(alg, n, M)
-        views = {
-            name: schedule.run(spec, backend=name).counter_view()
-            for name in sorted(BACKENDS)
-        }
-        assert views["vector"] == views["reference"]
-        assert views["symbolic"] == views["reference"]
+        _assert_seq_io_agree(schedule.seq_io_schedule(alg, n, M))
+
+    @pytest.mark.parametrize("leaf", ["tiled", "resident"])
+    def test_hybrid_cutoff_backends_agree_exactly(self, leaf):
+        _assert_seq_io_agree(
+            schedule.seq_io_schedule("strassen", 32, 96, cutoff=1, leaf=leaf)
+        )
 
     @pytest.mark.parametrize("n,M", [(8, 16), (16, 32)])
     def test_lru_trace_backends_agree_exactly(self, n, M):
@@ -44,6 +54,7 @@ class TestBackendEquivalence:
         }
         for key in ("hits", "misses", "writebacks", "io"):
             vals = {name: r.metrics[key] for name, r in reports.items()}
+            assert vals["machine"] == vals["reference"], (key, vals)
             assert len(set(vals.values())) == 1, (key, vals)
 
     def test_pebble_reference_and_vector_agree(self, strassen_alg):
@@ -68,6 +79,19 @@ class TestBackendEquivalence:
             schedule.run(
                 schedule.parallel_comm_schedule(strassen_alg, 16, 7),
                 backend="symbolic",
+            )
+
+    def test_machine_rejects_pebble_and_parallel_comm(self, strassen_alg):
+        from repro.cdag import base_case_cdag
+        from repro.pebbling import topological_schedule
+
+        sched = topological_schedule(base_case_cdag(strassen_alg), 12)
+        with pytest.raises(BackendUnsupported):
+            schedule.run(schedule.pebble_schedule(sched, 12), backend="machine")
+        with pytest.raises(BackendUnsupported):
+            schedule.run(
+                schedule.parallel_comm_schedule(strassen_alg, 16, 7),
+                backend="machine",
             )
 
     def test_symbolic_reaches_4096(self):
@@ -136,6 +160,50 @@ class TestFacade:
         rep = schedule.run(spec, machine=m, backend="vector")
         assert m.words_read == rep.reads
         assert m.words_written == rep.writes
+
+
+class TestMachineBackend:
+    def test_wrong_product_raises(self, monkeypatch):
+        import repro.execution
+
+        real = repro.execution.execute_recursive_bilinear
+        monkeypatch.setattr(repro.execution, "execute_recursive_bilinear",
+                            lambda *a, **k: real(*a, **k) + 1.0)
+        spec = schedule.seq_io_schedule("strassen", 16, 48, replay=False)
+        with pytest.raises(AssertionError, match="wrong product"):
+            schedule.run(spec, backend="machine")
+
+    def test_seed_comes_from_payload(self):
+        """The seed changes the operands, never the counters or params."""
+        runs = []
+        for seed in (0, 7):
+            spec = schedule.seq_io_schedule("strassen", 16, 48, replay=False)
+            spec.payload["seed"] = seed
+            runs.append(schedule.run(spec, backend="machine"))
+        assert runs[0].counter_view() == runs[1].counter_view()
+        assert runs[0].params == runs[1].params
+        assert "seed" not in runs[0].params
+
+    def test_executes_on_live_machine(self, strassen_alg):
+        from repro.machine.sequential import SequentialMachine
+
+        spec = schedule.seq_io_schedule(strassen_alg, 16, 128)
+        m = SequentialMachine(128)
+        rep = schedule.run(spec, machine=m, backend="machine")
+        assert m.words_read == rep.reads
+        assert m.words_written == rep.writes
+
+    def test_does_not_lower(self, monkeypatch):
+        import importlib
+
+        lowering = importlib.import_module("repro.schedule.lower")
+
+        def refuse(spec):
+            raise AssertionError("machine backend lowered")
+
+        monkeypatch.setattr(lowering, "lower", refuse)
+        monkeypatch.setattr(lowering, "lower_seq_io", refuse)
+        schedule.run(schedule.seq_io_schedule("winograd", 16, 48), backend="machine")
 
 
 class TestTopLevelExports:
