@@ -16,8 +16,9 @@ that property into infrastructure:
 * :mod:`repro.engine.core` — :func:`run_point` / :func:`run_sweep` with
   the :class:`EngineConfig`-controlled process-pool fan-out, per-point
   timeouts, retries, pool recovery, and incremental JSONL checkpointing;
-* :mod:`repro.engine.pool` — the worker pools that outlive one sweep
-  (``borrow`` / ``give_back``), killed and discarded on any failure;
+* :mod:`repro.engine.pool` — the worker-pool supervisor shared with the
+  serve daemon: pools that outlive their caller, timeout kills, rebuilds
+  and the circuit breaker that degrades to serial execution;
 * :mod:`repro.engine.faults` — the deterministic fault-injection harness
   (crash / hang / raise / corrupt on the Nth execution of a point) that
   the recovery paths are tested against.

@@ -2,9 +2,9 @@
 
 ``run_point`` executes one :class:`~repro.engine.runners.ExperimentPoint`
 through the content-addressed cache; ``run_sweep`` fans a list of points
-out over a :class:`~concurrent.futures.ProcessPoolExecutor` borrowed from
-:mod:`repro.engine.pool` (which keeps it for the next sweep) and assembles
-a typed :class:`~repro.analysis.results.SweepResult`.  Because every
+out over the worker pool of a :class:`~repro.engine.pool.Supervisor`
+(pools outlive the sweep) and assembles a typed
+:class:`~repro.analysis.results.SweepResult`.  Because every
 experiment is a pure counting run (the paper's machines are deterministic
 models, not wall-clock measurements), a cache hit is exactly as good as a
 re-execution and a ``workers=4`` sweep is bit-identical to a serial one —
@@ -16,11 +16,13 @@ long ``pebble_optimal`` campaigns actually produce.  Dispatch is
 points, so the engine can
 
 * enforce a per-point wall-clock timeout (``point_timeout_s``) by killing
-  the pool's workers and marking the point ``timeout``;
-* retry failed points with exponential backoff up to ``max_retries``;
-* detect a broken pool (a worker died), rebuild it, and re-queue the
-  innocent in-flight points — degrading to serial in-process execution
-  after ``max_pool_rebuilds`` unexpected breaks instead of aborting;
+  the pool's workers and marking the point ``timeout`` (the other
+  in-flight points are re-queued free of charge);
+* retry failed points with full-jittered exponential backoff up to
+  ``max_retries``;
+* re-queue every in-flight point of a broken pool (a worker died) on a
+  fresh pool — degrading to serial in-process execution after more than
+  ``max_pool_rebuilds`` unexpected breaks instead of aborting;
 * checkpoint incrementally: every completed point is cached and appended
   to the JSONL stream *as it finishes*, so an aborted sweep resumes from
   cache with zero recomputation.
@@ -35,6 +37,7 @@ with a typed status (``error`` / ``timeout`` / ``skipped``), and
 from __future__ import annotations
 
 import json
+import math
 import random
 import signal
 import threading
@@ -49,7 +52,7 @@ from pathlib import Path
 
 from repro.analysis.results import RunResult, SweepPoint, SweepResult
 from repro.engine.cache import ResultCache
-from repro.engine.pool import borrow, discard, give_back, submit
+from repro.engine.pool import CircuitBreaker, Supervisor
 from repro.engine.runners import PRIMARY_METRIC, ExperimentPoint, execute_point
 from repro.engine.trace import Tracer
 from repro.obs.manifest import RunManifest
@@ -123,17 +126,13 @@ class EngineConfig:
     retry_backoff_s:
         Base of the exponential backoff between retries of one point.
         The actual delay is *full-jittered*: uniform in
-        ``[0, min(retry_backoff_max_s, base * 2**(attempt-1))]`` — see
+        ``[0, min(30 s, base * 2**(attempt-1))]`` — see
         :func:`retry_delay_s` — so a mass re-queue after a pool rebuild
         does not retry in lockstep.
-    retry_backoff_max_s:
-        Hard cap on any single backoff delay.
-    retry_jitter:
-        Set False for the legacy deterministic exponential delays
-        (useful when a test needs exact timing).
     max_pool_rebuilds:
         How many *unexpected* pool breaks (worker death) to repair before
-        degrading the rest of the sweep to serial in-process execution.
+        degrading the rest of the sweep to serial in-process execution
+        (a timeout kill is not a break).
     fail_fast:
         Stop dispatching after the first permanent failure; remaining
         points are recorded as ``skipped``.  Default is keep-going.
@@ -170,8 +169,6 @@ class EngineConfig:
     point_timeout_s: float | None = None
     max_retries: int = 0
     retry_backoff_s: float = 0.05
-    retry_backoff_max_s: float = 30.0
-    retry_jitter: bool = True
     max_pool_rebuilds: int = 2
     fail_fast: bool = False
     sweep_dir: str | Path | None = None
@@ -192,29 +189,18 @@ class EngineConfig:
     def open_cache(self, registry: MetricsRegistry | None = None) -> ResultCache | None:
         if self.cache_dir is None:
             return None
-        on_corrupt = on_evict = None
-        if self.tracer is not None or registry is not None:
-            tracer = self.tracer
 
-            def on_corrupt(key: str, quarantined: Path) -> None:
-                if registry is not None:
-                    registry.inc("engine.cache.corrupt")
-                if tracer is not None:
-                    tracer.emit(
-                        "engine.cache.corrupt", key=key, quarantined=str(quarantined)
-                    )
-
-            def on_evict(key: str) -> None:
-                if registry is not None:
-                    registry.inc("engine.cache.evicted")
-                if tracer is not None:
-                    tracer.emit("engine.cache.evicted", key=key)
+        def note(event: str, key: str, **payload) -> None:
+            if registry is not None:
+                registry.inc(event)
+            _emit(self, event, key=key, **payload)
 
         return ResultCache(
             self.cache_dir,
-            on_corrupt=on_corrupt,
+            on_corrupt=lambda key, quarantined: note(
+                "engine.cache.corrupt", key, quarantined=str(quarantined)),
             max_bytes=self.cache_max_bytes,
-            on_evict=on_evict,
+            on_evict=lambda key: note("engine.cache.evicted", key),
         )
 
     # -- observability plumbing ----------------------------------------- #
@@ -249,8 +235,6 @@ class EngineConfig:
             "point_timeout_s": self.point_timeout_s,
             "max_retries": self.max_retries,
             "retry_backoff_s": self.retry_backoff_s,
-            "retry_backoff_max_s": self.retry_backoff_max_s,
-            "retry_jitter": self.retry_jitter,
             "max_pool_rebuilds": self.max_pool_rebuilds,
             "fail_fast": self.fail_fast,
             "cache_max_bytes": self.cache_max_bytes,
@@ -427,12 +411,7 @@ class _SweepRunner:
                        error=detail["type"], message=detail["message"])
         task.errors.append(detail)
         if task.attempts <= self.config.max_retries and not self.stop:
-            backoff = retry_delay_s(
-                self.config.retry_backoff_s,
-                task.attempts,
-                cap=self.config.retry_backoff_max_s,
-                jitter=self.config.retry_jitter,
-            )
+            backoff = retry_delay_s(self.config.retry_backoff_s, task.attempts)
             task.not_before = time.perf_counter() + backoff
             self.metrics.inc("engine.retries")
             self._emit("engine.point.retry", key=task.key, attempt=task.attempts,
@@ -537,11 +516,11 @@ class _SweepRunner:
                 self._complete(task, metrics, trace, wall)
         self._skip_remaining(tasks)
 
-    # -- pooled execution (pools outlive the sweep, see engine/pool.py) -- #
+    # -- pooled execution (see engine/pool.py) --------------------------- #
     def _requeue_victims(self, in_flight: dict, tasks: deque) -> None:
-        """Re-queue in-flight points lost to a pool break through no fault
-        of their own — their execution never finished, so it is not
-        charged against the retry budget."""
+        """Re-queue in-flight points lost to a pool break or kill through
+        no fault of their own — their execution never finished, so it is
+        not charged against the retry budget."""
         for task in in_flight.values():
             task.attempts -= 1
             tasks.appendleft(task)
@@ -562,34 +541,27 @@ class _SweepRunner:
 
     def _run_pooled(self, tasks: deque) -> None:
         cfg = self.config
-        unexpected_breaks = 0
-        pool = borrow(cfg.workers)
+        # the sweep's degrade rule: serial for good after more than
+        # max_pool_rebuilds unexpected breaks in total
+        pool = Supervisor(cfg.workers, registry=self.metrics, gate=CircuitBreaker(
+            max(1, cfg.max_pool_rebuilds + 1), math.inf, consecutive=False,
+        ))
         in_flight: dict[Future, _Task] = {}
         clean = False
         try:
             while (tasks or in_flight) and not self.stop:
-                broken = False
                 # submit ready tasks up to the window of `workers`
-                while tasks and len(in_flight) < cfg.workers and not broken:
+                while tasks and len(in_flight) < cfg.workers:
                     task = _pop_ready(tasks, time.perf_counter())
                     if task is None:
                         break
                     task.attempts += 1
                     task.submitted_at = time.perf_counter()
-                    try:
-                        fut = submit(
-                            pool,
-                            task.point.to_dict(),
-                            self.config.profile_spec(task.key),
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        task.attempts -= 1
-                        tasks.appendleft(task)
-                        broken = True
-                        break
+                    fut = pool.submit(task.point.to_dict(), cfg.profile_spec(task.key))
                     in_flight[fut] = task
 
-                if not broken and in_flight:
+                broken = False
+                if in_flight:
                     budget = self._wait_budget(in_flight, tasks)
                     done, _ = wait(
                         list(in_flight),
@@ -599,20 +571,17 @@ class _SweepRunner:
                         return_when=FIRST_COMPLETED,
                     )
                     for fut in done:
-                        task = in_flight.pop(fut)
                         try:
-                            metrics, trace, wall = fut.result()
+                            metrics, trace, wall = pool.result(fut)
                         except BrokenProcessPool:
-                            # cannot tell culprit from victim — re-queue
-                            task.attempts -= 1
-                            tasks.appendleft(task)
-                            broken = True
+                            broken = True  # culprit and victims look alike
                         except Exception as exc:
+                            task = in_flight.pop(fut)
                             if self._fail_attempt(task, "error", exc):
                                 tasks.append(task)
                         else:
-                            self._complete(task, metrics, trace, wall)
-                elif not broken:
+                            self._complete(in_flight.pop(fut), metrics, trace, wall)
+                else:
                     # everything is backing off; sleep until the next gate
                     time.sleep(
                         min(
@@ -623,49 +592,40 @@ class _SweepRunner:
                     continue
 
                 if broken:
-                    unexpected_breaks += 1
-                    self._emit("engine.pool.broken", breaks=unexpected_breaks)
                     self._requeue_victims(in_flight, tasks)
-                    discard(pool)
-                    if unexpected_breaks > cfg.max_pool_rebuilds:
+                    breaks = self._count("engine.pool.broken")
+                    self._emit("engine.pool.broken", breaks=breaks)
+                    if not pool.gate.allow():
                         self.degraded = True
-                        self._emit("engine.pool.degraded", breaks=unexpected_breaks)
+                        self._emit("engine.pool.degraded", breaks=breaks)
                         self._run_serial(tasks)
                         return
-                    self.metrics.inc("engine.pool.rebuilds")
-                    pool = borrow(cfg.workers)
                     continue
 
                 # enforce the per-point wall-clock timeout
                 if cfg.point_timeout_s is not None and in_flight:
                     now = time.perf_counter()
                     expired = [
-                        (fut, task) for fut, task in in_flight.items()
+                        fut for fut, task in in_flight.items()
                         if now - task.submitted_at >= cfg.point_timeout_s
                     ]
+                    for fut in expired:
+                        task = in_flight.pop(fut)
+                        if self._fail_attempt(task, "timeout", None):
+                            tasks.append(task)
                     if expired:
-                        for fut, task in expired:
-                            in_flight.pop(fut)
-                            if self._fail_attempt(task, "timeout", None):
-                                tasks.append(task)
-                        # the hung workers must die: kill the pool, spare
-                        # the innocents' retry budget, rebuild
-                        discard(pool)
+                        # the hung workers must die: kill the pool and
+                        # spare the innocents' retry budget
+                        pool.kill(expired[0])
                         self._requeue_victims(in_flight, tasks)
-                        self.metrics.inc("engine.pool.rebuilds")
-                        pool = borrow(cfg.workers)
             if self.stop:
-                discard(pool)
                 self._skip_remaining(in_flight.values())
                 in_flight.clear()
                 self._skip_remaining(tasks)
             else:
                 clean = True
         finally:
-            if clean:
-                give_back(pool)
-            else:
-                pool.shutdown(wait=False, cancel_futures=True)
+            pool.close(clean)
 
     # -- orchestration -------------------------------------------------- #
     def run(self) -> SweepResult:

@@ -407,8 +407,6 @@ def _seq_io_bound(kind: str, params: dict, alg) -> dict:
         return {"bound": float(classical_sequential(n, M)), "n_eff": float(n)}
     if kind == "seq_io" and params["alg"] == "karstadt_schwartz":
         return {"bound": float(fast_sequential(n, M)), "n_eff": float(n)}
-    if alg is None:
-        raise ValueError("hybrid points need a bilinear algorithm")
     n_eff = _effective_dim(alg, n)
     bound_fast = float(fast_sequential(n_eff, M, alg.omega0))
     if kind == "seq_io":
@@ -455,10 +453,12 @@ def _run_seq_io(params: dict, kind: str = "seq_io") -> dict:
     """
     from repro import schedule as _schedule
 
+    hybrid = kind == "hybrid"
+    if hybrid and params["alg"] in (None, "karstadt_schwartz"):
+        raise ValueError("hybrid points need a plain bilinear algorithm")
     alg = resolve_algorithm(params["alg"])
     n, M, seed = params["n"], params["M"], params["seed"]
     bound = _seq_io_bound(kind, params, alg)
-    hybrid = kind == "hybrid"
     split = {"cutoff": int(params["cutoff"]),
              "leaf": str(params.get("leaf", "tiled"))} if hybrid else {}
     spec = _schedule.seq_io_schedule(
@@ -709,6 +709,14 @@ def _run_lru_trace(params: dict) -> dict:
     }
 
 
+#: Params a hand-written point of these kinds (a ``repro serve`` body skips
+#: the builders) must carry; checked before anything executes.
+_REQUIRED = {
+    "seq_io": ("alg", "n", "M", "seed"),
+    "hybrid": ("alg", "n", "M", "cutoff", "seed"),
+    "parallel_comm": ("alg", "n", "P", "M", "seed"),
+}
+
 _EXECUTORS = {
     "seq_io": _run_seq_io,
     "hybrid": lambda params: _run_seq_io(params, "hybrid"),
@@ -744,6 +752,9 @@ def execute_point(spec: dict, profile: dict | None = None) -> tuple[dict, dict, 
     kind = spec["kind"]
     if kind not in _EXECUTORS:
         raise KeyError(f"unknown experiment kind {kind!r}")
+    missing = [p for p in _REQUIRED.get(kind, ()) if p not in spec["params"]]
+    if missing:
+        raise ValueError(f"{kind} point is missing param(s) {missing}")
     t0 = time.perf_counter()
     with profile_point(profile) as prof:
         try:

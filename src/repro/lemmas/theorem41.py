@@ -12,12 +12,9 @@ Two measurable claims back the theorem:
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro import schedule
 from repro.basis.abmm import AlternativeBasisAlgorithm
 from repro.bounds.formulas import fast_sequential
-from repro.execution.abmm_exec import execute_abmm
-from repro.machine.sequential import SequentialMachine
 from repro.lemmas.lemma31 import check_lemma31
 from repro.lemmas.lemma32_33 import check_lemma32, check_lemma33
 
@@ -41,15 +38,12 @@ def check_theorem41(
         "lemma32": check_lemma32(folded, "A"),
         "lemma33": check_lemma33(folded, "A"),
     }
-    rng = np.random.default_rng(seed)
     fractions = []
     for n in sizes:
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-        machine = SequentialMachine(M)
-        C, phases = execute_abmm(machine, alt, A, B)
-        if not np.allclose(C, A @ B):
-            raise AssertionError(f"ABMM produced a wrong product at n={n}")
+        # the machine backend runs ABMM in full and checks C == A @ B
+        spec = schedule.seq_io_schedule(alt, n, M, replay=False)
+        spec.payload["seed"] = seed
+        phases = schedule.run(spec, backend="machine").metrics
         if phases["io_total"] < fast_sequential(n, M) * 1e-9:
             raise AssertionError("measured ABMM I/O fell below the Ω floor")
         fractions.append(phases["transform_fraction"])

@@ -287,8 +287,8 @@ def build_report(sweep_dir: str | Path, top: int = 5) -> dict:
             "jobs_expired": serve_counters.get("serve.jobs.expired", 0),
             "jobs_retried": serve_counters.get("serve.jobs.retried", 0),
             "degraded_executions": serve_counters.get("serve.degraded.executions", 0),
-            "pool_broken": serve_counters.get("serve.pool.broken", 0),
-            "pool_rebuilds": serve_counters.get("serve.pool.rebuilds", 0),
+            "pool_broken": counters.get("engine.pool.broken", 0),
+            "pool_rebuilds": counters.get("engine.pool.rebuilds", 0),
             "wal_replayed": serve_counters.get("serve.wal.replayed", 0),
             "breaker": {
                 "state": breaker.get("state"),

@@ -9,10 +9,9 @@ local HTTP/JSON API, hardened for long-lived operation:
 * :mod:`repro.serve.queue` — bounded admission queue (backpressure →
   HTTP 429 + Retry-After);
 * :mod:`repro.serve.coalesce` — identical in-flight points execute once;
-* :mod:`repro.serve.breaker` — circuit breaker around the worker pool,
-  with degraded in-process execution while open;
 * :mod:`repro.serve.daemon` — the daemon itself (WAL replay, dispatch,
-  deadlines, graceful drain);
+  deadlines, graceful drain); its worker pool and circuit breaker are the
+  engine's (:mod:`repro.engine.pool`), shared with ``run_sweep``;
 * :mod:`repro.serve.api` — the HTTP server and :class:`ServeClient`;
 * :mod:`repro.serve.drill` — the chaos-certification drill run in CI.
 
@@ -30,8 +29,8 @@ See ``docs/serving.md`` for the API, the WAL format, and the failure
 matrix the chaos drill certifies.
 """
 
+from repro.engine.pool import BREAKER_STATES, CircuitBreaker
 from repro.serve.api import ServeClient, ServeError
-from repro.serve.breaker import BREAKER_STATES, CircuitBreaker
 from repro.serve.coalesce import Coalescer
 from repro.serve.daemon import Daemon, DrainingError, ServeConfig
 from repro.serve.queue import JOB_STATES, Job, JobQueue, QueueFull

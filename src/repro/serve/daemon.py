@@ -2,7 +2,8 @@
 
 :class:`Daemon` glues the serve subsystem together around the existing
 execution machinery (:func:`repro.engine.runners.execute_point`, the
-content-addressed :class:`~repro.engine.cache.ResultCache`):
+content-addressed :class:`~repro.engine.cache.ResultCache`, and the
+engine's worker-pool :class:`~repro.engine.pool.Supervisor`):
 
 * a **sync fast path** — a point whose answer is already cached is
   served inside the HTTP exchange, no WAL record, no queue (a request
@@ -16,10 +17,10 @@ content-addressed :class:`~repro.engine.cache.ResultCache`):
   overload is refused at the door with a retry hint (HTTP 429);
 * a :class:`~repro.serve.coalesce.Coalescer` — identical in-flight
   points execute once, followers ride the leader;
-* a :class:`~repro.serve.breaker.CircuitBreaker` around the worker pool
-  — repeated infrastructure failures (dead workers, broken pools) trip
-  it and execution degrades to in-process serial until a half-open probe
-  proves the pool healthy again;
+* the supervisor's :class:`~repro.engine.pool.CircuitBreaker` gate —
+  ``breaker_threshold`` consecutive pool breaks trip it and execution
+  degrades to in-process serial until a half-open probe proves the pool
+  healthy again;
 * per-job **deadline budgets** — an absolute instant past which the
   answer is worthless; expired jobs fail fast with ``timeout`` status,
   layered under ``EngineConfig.point_timeout_s`` which still bounds any
@@ -29,10 +30,10 @@ content-addressed :class:`~repro.engine.cache.ResultCache`):
   the manifest and metrics, and leaves unfinished jobs in the WAL for
   the next incarnation.
 
-The worker pool uses the ``spawn`` start method: the daemon is heavily
+The supervisor starts ``spawn`` workers: the daemon is heavily
 multi-threaded and forking a multi-threaded process can deadlock the
-child in a held lock.  ``REPRO_FAULTS`` still reaches spawned workers
-through the inherited environment, so the chaos drill can kill them.
+child in a held lock.  ``REPRO_FAULTS`` reaches the workers with each
+task, so the chaos drill can kill them.
 
 Threading model: HTTP handler threads (admission + sync fast path),
 ``workers`` dispatcher threads (each feeds the shared pool or, degraded,
@@ -43,25 +44,24 @@ endpoint heartbeat on ``flush_interval_s``).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 import threading
 import time
 import uuid
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.analysis.results import RunResult
 from repro.engine.core import EngineConfig
 from repro.engine.keys import point_key
+from repro.engine.pool import CircuitBreaker, PoolVictim, Supervisor
 from repro.engine.runners import execute_point
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.coalesce import Coalescer
 from repro.serve.queue import Job, JobQueue, QueueFull
 from repro.serve.wal import WAL_SYNC_MODES, WriteAheadLog
@@ -104,11 +104,12 @@ class ServeConfig:
     wal_sync:
         WAL durability, one of :data:`~repro.serve.wal.WAL_SYNC_MODES`.
     breaker_threshold / breaker_cooldown_s:
-        Circuit-breaker tuning (consecutive infrastructure failures to
-        trip; seconds open before the half-open probe).
+        Circuit-breaker tuning (consecutive pool breaks to trip; seconds
+        open before the half-open probe).
     max_job_retries:
-        How many times one job survives an infrastructure failure (pool
-        break, execution timeout) before being failed outright.
+        How many times one job survives a pool break or an execution
+        timeout of its own before being failed outright (a job lost to
+        the kill of another job's hung worker is re-queued free).
     default_deadline_s:
         Deadline budget given to jobs that do not carry their own.
     mem_cache_entries:
@@ -156,23 +157,11 @@ class ServeConfig:
         self.engine.handle_signals = False
 
     def public_dict(self) -> dict:
-        return {
-            "serve_dir": str(self.serve_dir),
-            "host": self.host,
-            "port": self.port,
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
-            "retry_after_s": self.retry_after_s,
-            "wal_sync": self.wal_sync,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown_s": self.breaker_cooldown_s,
-            "max_job_retries": self.max_job_retries,
-            "default_deadline_s": self.default_deadline_s,
-            "mem_cache_entries": self.mem_cache_entries,
-            "flush_interval_s": self.flush_interval_s,
-            "drain_timeout_s": self.drain_timeout_s,
-            "engine": self.engine.public_dict(),
-        }
+        """JSON-safe fields (the manifest's ``config``), engine last."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("engine", "allow_remote_shutdown")}
+        return out | {"serve_dir": str(self.serve_dir),
+                      "engine": self.engine.public_dict()}
 
 
 def _run_result(job: Job, metrics: dict, trace: dict, cached: bool,
@@ -206,6 +195,8 @@ class Daemon:
             failure_threshold=config.breaker_threshold,
             cooldown_s=config.breaker_cooldown_s,
         )
+        self.pool = Supervisor(config.workers, self.breaker, self.metrics,
+                               method="spawn")
         self.manifest = RunManifest(config.serve_dir)
         self.manifest.start(config.public_dict(), parameter="serve", points=[])
         self._manifest_lock = threading.Lock()
@@ -216,13 +207,8 @@ class Daemon:
         self._mem_cache: OrderedDict[str, dict] = OrderedDict()
         self._mem_lock = threading.Lock()
 
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._pool_generation = 0
-
         self.draining = threading.Event()
         self._stopped = threading.Event()
-        self._threads: list[threading.Thread] = []
         self._server = None
         self.started_at: float | None = None
         self.replayed = 0
@@ -236,28 +222,16 @@ class Daemon:
 
         self._replay()
         self.started_at = time.time()
-        for i in range(max(1, self.config.workers)):
-            t = threading.Thread(
-                target=self._dispatch_loop, name=f"serve-dispatch-{i}", daemon=True
-            )
-            t.start()
-            self._threads.append(t)
-        flusher = threading.Thread(
-            target=self._flush_loop, name="serve-flush", daemon=True
-        )
-        flusher.start()
-        self._threads.append(flusher)
-
         self._server = build_server(self, self.config.host, self.config.port)
         host, port = self._server.server_address[:2]
-        server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": _POLL_S},
-            name="serve-http",
-            daemon=True,
-        )
-        server_thread.start()
-        self._threads.append(server_thread)
+        loops = [(f"serve-dispatch-{i}", self._dispatch_loop, {})
+                 for i in range(max(1, self.config.workers))]
+        loops += [("serve-flush", self._flush_loop, {}),
+                  ("serve-http", self._server.serve_forever,
+                   {"poll_interval": _POLL_S})]
+        for name, target, kwargs in loops:
+            threading.Thread(target=target, kwargs=kwargs, name=name,
+                             daemon=True).start()
         self._write_endpoint(host, port)
         return host, port
 
@@ -282,6 +256,7 @@ class Daemon:
             return
         self.draining.set()
         deadline = time.monotonic() + self.config.drain_timeout_s
+        busy = True
         while time.monotonic() < deadline:
             with self._jobs_lock:
                 busy = any(j.state == "running" for j in self._jobs.values())
@@ -292,10 +267,8 @@ class Daemon:
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+        # jobs still running lose their workers and stay pending in the WAL
+        self.pool.close(clean=not busy)
         for job in self.queue.drain():
             # still pending in the WAL: the next incarnation replays it
             self.metrics.inc("serve.jobs.orphaned")
@@ -471,27 +444,6 @@ class Daemon:
     # ------------------------------------------------------------------ #
     # dispatch (worker threads)
     # ------------------------------------------------------------------ #
-    def _get_pool(self) -> tuple[ProcessPoolExecutor, int]:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-                self._pool_generation += 1
-            return self._pool, self._pool_generation
-
-    def _kill_pool(self, generation: int) -> None:
-        """Tear down a broken/hung pool (once per generation)."""
-        with self._pool_lock:
-            if self._pool is None or self._pool_generation != generation:
-                return  # another dispatcher already handled it
-            pool, self._pool = self._pool, None
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            proc.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
-        self.metrics.inc("serve.pool.rebuilds")
-
     def _dispatch_loop(self) -> None:
         while not self._stopped.is_set():
             job = self.queue.get(timeout=_POLL_S)
@@ -569,40 +521,28 @@ class Daemon:
             error={"type": err_type, "message": message, "attempts": attempts},
         ))
 
-    def _pool_failed(self, job: Job, generation: int, status: str,
-                     err_type: str, message: str) -> None:
-        """An infrastructure failure: charge the breaker, kill the pool,
-        and retry the job (or fail it once out of retries)."""
-        self.breaker.record_failure()
-        self.metrics.inc("serve.pool.broken")
-        self._kill_pool(generation)
-        self._retry_or_fail(job, status, err_type, message)
-
     def _execute_pooled(self, job: Job) -> None:
-        pool, generation = self._get_pool()
         budget = self._budget_s(job)
         try:
-            future = pool.submit(execute_point, job.spec, None)
-        except (BrokenProcessPool, RuntimeError) as exc:
-            self._pool_failed(job, generation, "error", type(exc).__name__, str(exc))
+            future = self.pool.submit(job.spec, None)
+            metrics, trace, wall = self.pool.result(future, timeout=budget)
+        except PoolVictim:
+            # lost to the kill of another job's hung worker: not its fault
+            self.queue.requeue(job)
             return
-        try:
-            metrics, trace, wall = future.result(timeout=budget)
         except FutureTimeout:
-            # a worker is hung past every budget: infrastructure failure
-            self._pool_failed(job, generation, "timeout", "TimeoutError",
-                              f"execution exceeded budget of {budget:.3f}s")
+            # a worker is hung past every budget: kill it, charge the job
+            self.pool.kill(future)
+            self._retry_or_fail(job, "timeout", "TimeoutError",
+                                f"execution exceeded budget of {budget:.3f}s")
             return
         except BrokenProcessPool as exc:
-            self._pool_failed(job, generation, "error", type(exc).__name__, str(exc))
+            self._retry_or_fail(job, "error", type(exc).__name__, str(exc))
             return
         except Exception as exc:
-            # the experiment itself raised: a valid (negative) answer,
-            # not a sick pool — the breaker must not trip
-            self.breaker.record_success()
+            # the experiment itself raised: a valid (negative) answer
             self._fail_job(job, exc, self._job_attempts.get(job.id, 0) + 1)
             return
-        self.breaker.record_success()
         self._complete(job, metrics, trace, wall)
 
     def _execute_serial(self, job: Job) -> None:
@@ -663,8 +603,8 @@ class Daemon:
             "jobs_expired": m.value("serve.jobs.expired"),
             "jobs_retried": m.value("serve.jobs.retried"),
             "degraded_executions": m.value("serve.degraded.executions"),
-            "pool_broken": m.value("serve.pool.broken"),
-            "pool_rebuilds": m.value("serve.pool.rebuilds"),
+            "pool_broken": m.value("engine.pool.broken"),
+            "pool_rebuilds": m.value("engine.pool.rebuilds"),
             "wal_records": float(self.wal.appended),
             "wal_replayed": m.value("serve.wal.replayed"),
             "queue_depth": float(len(self.queue)),

@@ -410,9 +410,3 @@ class TestRetryBackoffJitter:
         from repro.engine import retry_delay_s
 
         assert retry_delay_s(0.0, 3) == 0.0
-
-    def test_engine_config_carries_jitter_fields(self):
-        cfg = EngineConfig(retry_backoff_max_s=9.0, retry_jitter=False)
-        public = cfg.public_dict()
-        assert public["retry_backoff_max_s"] == 9.0
-        assert public["retry_jitter"] is False

@@ -3,7 +3,8 @@
 A sweep that ends cleanly gives its pool back for the next sweep; a sweep
 that had to kill its pool (point timeout, drain signal, ``fail_fast``)
 never returns it; two sweeps running at once never share a pool.  The
-pools are observed through a recording wrapper around ``borrow``.
+pools are observed through a recording wrapper around
+``repro.engine.pool.borrow``, where the sweep's supervisor borrows them.
 """
 
 import os
@@ -13,7 +14,6 @@ import time
 
 import pytest
 
-import repro.engine.core as core
 from repro.engine import (
     EngineConfig,
     FaultRule,
@@ -44,13 +44,14 @@ def _pids(pool) -> set[int]:
 def borrowed(monkeypatch):
     """Every pool the sweeps borrow, in order."""
     pools = []
+    borrow = registry.borrow
 
-    def recording(workers):
-        pool = registry.borrow(workers)
+    def recording(*args):
+        pool = borrow(*args)
         pools.append(pool)
         return pool
 
-    monkeypatch.setattr(core, "borrow", recording)
+    monkeypatch.setattr(registry, "borrow", recording)
     return pools
 
 
@@ -132,14 +133,14 @@ def test_interrupted_sweep_does_not_return_its_pool(borrowed):
 
 def test_concurrent_sweeps_get_different_pools(borrowed, monkeypatch):
     both_borrowed = threading.Barrier(2, timeout=30)
-    recording = core.borrow
+    recording = registry.borrow
 
-    def rendezvous(workers):
-        pool = recording(workers)
+    def rendezvous(*args):
+        pool = recording(*args)
         both_borrowed.wait()  # both sweeps hold a pool at the same time
         return pool
 
-    monkeypatch.setattr(core, "borrow", rendezvous)
+    monkeypatch.setattr(registry, "borrow", rendezvous)
     results = [None, None]
 
     def sweep(slot):

@@ -69,3 +69,25 @@ class TestMachineBackendKey:
         explicit = {"kind": "seq_io",
                     "params": {**point["params"], "backend": "machine"}}
         assert execute_point(explicit)[0] == execute_point(point)[0]
+
+
+class TestHandWrittenPointErrors:
+    """Typed errors for hand-written points, raised before any execution."""
+
+    @pytest.mark.parametrize("alg", ["karstadt_schwartz", None])
+    def test_hybrid_rejects_a_non_bilinear_algorithm(self, alg, replay_flags):
+        spec = {"kind": "hybrid",
+                "params": {"alg": alg, "n": 16, "M": 48, "cutoff": 1, "seed": 0}}
+        with pytest.raises(ValueError, match="plain bilinear algorithm"):
+            execute_point(spec)
+        assert replay_flags == []
+
+    @pytest.mark.parametrize("kind, params", [
+        ("seq_io", {"alg": "strassen", "n": 16, "M": 48}),
+        ("hybrid", {"alg": "strassen", "n": 16, "M": 48, "cutoff": 1}),
+        ("parallel_comm", {"alg": "strassen", "n": 16, "P": 7, "M": None}),
+    ])
+    def test_missing_seed_is_named(self, kind, params, replay_flags):
+        with pytest.raises(ValueError, match="'seed'"):
+            execute_point({"kind": kind, "params": params})
+        assert replay_flags == []
