@@ -115,7 +115,10 @@ class RunResult:
 
     ``key`` is the content-addressed cache key; ``metrics`` holds the
     counted quantities (I/O words, communication, pebbling statistics);
-    ``trace`` is an aggregated summary of the trace events the run emitted.
+    ``trace`` is ``{"metrics": snapshot}``, the typed
+    :class:`~repro.obs.metrics.MetricsRegistry` snapshot of the run; it
+    is kept as loaded, so entries written with the retired
+    ``trace["events"]`` view still round-trip.
     ``cached`` and ``wall_time_s`` are provenance, deliberately excluded
     from :meth:`fingerprint` so a cache hit and a fresh run of the same
     point compare equal.

@@ -11,8 +11,7 @@ that property into infrastructure:
 * :mod:`repro.engine.keys` — content-addressed cache keys over
   (kind, params, code version, schema);
 * :mod:`repro.engine.cache` — the atomic on-disk JSON store;
-* :mod:`repro.engine.trace` — structured trace events and the aggregating
-  collector for the machine/pebbling hooks;
+* :mod:`repro.engine.trace` — the structured engine-event stream;
 * :mod:`repro.engine.core` — :func:`run_point` / :func:`run_sweep` with
   the :class:`EngineConfig`-controlled process-pool fan-out, per-point
   timeouts, retries, pool recovery, and incremental JSONL checkpointing;
@@ -62,7 +61,7 @@ from repro.engine.runners import (
     hybrid_point,
     seq_io_point,
 )
-from repro.engine.trace import HookCollector, TraceEvent, Tracer, collect_machine_trace
+from repro.engine.trace import TraceEvent, Tracer
 
 __all__ = [
     "EngineConfig",
@@ -88,8 +87,6 @@ __all__ = [
     "lru_trace_point",
     "TraceEvent",
     "Tracer",
-    "HookCollector",
-    "collect_machine_trace",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",

@@ -199,7 +199,7 @@ def apply_fault(spec: dict) -> tuple[dict, dict] | None:
             raise FaultInjected(
                 f"injected {spec.get('kind', '?')} failure (attempt {attempt}/{rule.times})"
             )
-        return dict(CORRUPT_METRICS), {"events": {}}
+        return dict(CORRUPT_METRICS), {}
     return None
 
 

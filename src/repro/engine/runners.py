@@ -746,7 +746,7 @@ def execute_point(spec: dict, profile: dict | None = None) -> tuple[dict, dict, 
     deterministic).
     """
     from repro.engine.faults import apply_fault
-    from repro.engine.trace import collect_machine_trace
+    from repro.obs.metrics import collecting
     from repro.obs.profile import profile_point
 
     kind = spec["kind"]
@@ -762,9 +762,9 @@ def execute_point(spec: dict, profile: dict | None = None) -> tuple[dict, dict, 
             if injected is not None:
                 metrics, trace = injected
             else:
-                with collect_machine_trace() as collector:
+                with collecting() as registry:
                     metrics = _EXECUTORS[kind](spec["params"])
-                trace = collector.summary()
+                trace = {"metrics": registry.to_dict()}
         finally:
             prof["wall_time_s"] = time.perf_counter() - t0
     return metrics, trace, time.perf_counter() - t0

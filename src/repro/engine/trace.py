@@ -1,48 +1,29 @@
 """Structured trace events for engine runs.
 
-Two layers:
+:class:`TraceEvent` / :class:`Tracer` are the engine-level stream the
+caller sees.  The engine emits: ``engine.point.start`` / ``.done`` (with
+real per-point wall time), ``engine.cache.hit`` / ``.miss`` /
+``.corrupt`` (an entry was quarantined), and the fault-tolerance events
+``engine.point.retry`` (re-queued with backoff), ``engine.point.timeout``
+(killed by the wall-clock limit), ``engine.point.error`` (executor
+raised), ``engine.pool.broken`` (a worker died, pool rebuilt) and
+``engine.pool.degraded`` (too many breaks — rest of the sweep runs
+serially in-process).
 
-* :class:`TraceEvent` / :class:`Tracer` — the engine-level stream the
-  caller sees.  The engine emits: ``engine.point.start`` / ``.done``
-  (with real per-point wall time), ``engine.cache.hit`` / ``.miss`` /
-  ``.corrupt`` (an entry was quarantined), and the fault-tolerance
-  events ``engine.point.retry`` (re-queued with backoff),
-  ``engine.point.timeout`` (killed by the wall-clock limit),
-  ``engine.point.error`` (executor raised), ``engine.pool.broken``
-  (a worker died, pool rebuilt) and ``engine.pool.degraded`` (too many
-  breaks — rest of the sweep runs serially in-process).
-* :class:`collect_machine_trace` — activates a
-  :class:`repro.obs.metrics.MetricsRegistry` for the duration of a point's
-  execution.  The instrumented modules (:mod:`repro.machine.sequential`,
-  :mod:`repro.machine.parallel`, :mod:`repro.machine.cache`,
-  :mod:`repro.pebbling.game`) publish typed counters/gauges/histograms
-  into it; per-word events never cross the process boundary — the
-  registry snapshot travels back in ``RunResult.trace`` as one dict per
-  point, under ``trace["metrics"]``.  For backward compatibility the
-  summary also carries the legacy ``trace["events"]`` view
-  (``{event name: {"count", "words"}}``), derived from the typed
-  counters via :data:`_EVENT_VIEW`.
-
-:class:`HookCollector` (the previous ad-hoc reducer for the raw hook
-stream) is retained for external callers but no longer used by the
-engine.
+What a point's execution counts is not an engine event: the instrumented
+modules publish typed metrics into the
+:class:`repro.obs.metrics.MetricsRegistry` that
+:func:`repro.engine.runners.execute_point` activates, and its snapshot
+travels back as ``RunResult.trace["metrics"]``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.obs.metrics import MetricsRegistry, collecting
-
-__all__ = [
-    "TraceEvent",
-    "Tracer",
-    "HookCollector",
-    "RegistryCollector",
-    "collect_machine_trace",
-]
+__all__ = ["TraceEvent", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -77,69 +58,3 @@ class Tracer:
             out[ev.kind] = out.get(ev.kind, 0) + 1
         return out
 
-
-@dataclass
-class HookCollector:
-    """Aggregates raw hook events into a compact, deterministic summary."""
-
-    counts: dict[str, dict] = field(default_factory=dict)
-
-    def __call__(self, event: dict) -> None:
-        name = event.get("event", "unknown")
-        slot = self.counts.setdefault(name, {"count": 0, "words": 0})
-        slot["count"] += 1
-        slot["words"] += int(event.get("words", 0))
-
-    def summary(self) -> dict:
-        return {"events": {k: dict(v) for k, v in sorted(self.counts.items())}}
-
-
-# Legacy ``trace["events"]`` view: event name -> (count counter, words
-# counter).  Derived from the typed registry so downstream consumers of
-# the old HookCollector schema keep working unchanged.
-_EVENT_VIEW: dict[str, tuple[str, str | None]] = {
-    "machine.load": ("machine.seq.loads", "machine.seq.load_words"),
-    "machine.store": ("machine.seq.stores", "machine.seq.store_words"),
-    "machine.replay": ("machine.seq.replays", "machine.seq.replay_words"),
-    "bsp.superstep": ("machine.bsp.supersteps", "machine.bsp.words"),
-    "pebble.validated": ("pebble.validated", None),
-}
-
-
-class RegistryCollector:
-    """Adapts a live :class:`MetricsRegistry` to the trace-summary schema."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
-    def summary(self) -> dict:
-        """Typed snapshot plus the derived legacy events view.
-
-        Deterministic by construction (no wall time, no timestamps), so
-        serial and pooled sweeps produce bit-identical traces.
-        """
-        snap = self.registry.to_dict()
-        counters = snap["counters"]
-        events: dict[str, dict] = {}
-        for event, (count_name, words_name) in _EVENT_VIEW.items():
-            count = counters.get(count_name, 0)
-            if not count:
-                continue
-            words = counters.get(words_name, 0) if words_name else 0
-            events[event] = {"count": int(count), "words": int(words)}
-        return {"events": dict(sorted(events.items())), "metrics": snap}
-
-
-class collect_machine_trace:
-    """Context manager activating a fresh :class:`MetricsRegistry` for the
-    instrumented machine/pebbling modules, deactivating on exit.  Usable
-    in any process (the engine enters it inside worker processes)."""
-
-    def __enter__(self) -> RegistryCollector:
-        self.registry = MetricsRegistry()
-        self._cm = collecting(self.registry)
-        self._cm.__enter__()
-        return RegistryCollector(self.registry)
-
-    def __exit__(self, *exc) -> None:
-        self._cm.__exit__(*exc)

@@ -18,9 +18,10 @@ Each probe here runs *one experiment point* through every available path
 plus the :class:`~repro.obs.metrics.MetricsRegistry` ledger (an
 independently accumulated counter stream) and asserts **exact** equality —
 not tolerance-based: these are word counts of deterministic executions, and
-a one-word drift is a bug.  When paths disagree, the probe re-runs with
-instrumentation and reports the *first divergence*: the first event /
-row / move at which the cumulative ledgers separate.
+a one-word drift is a bug.  When paths disagree, the probe walks a finer
+ledger (the lowered Schedule IR, the per-row LRU deltas, the move list)
+and reports the *first divergence*: the first op / row / move at which
+the cumulative ledgers separate.
 
 Used by ``repro falsify`` and the CI falsification job; the probe grid is
 small enough for tier-1 (seconds, not minutes).
@@ -115,62 +116,70 @@ class DifferentialReport:
 # --------------------------------------------------------------------- #
 # divergence localization
 # --------------------------------------------------------------------- #
-def _cumulative_rw(events: list[dict]) -> list[tuple[int, int, dict]]:
-    """Cumulative (reads, writes) after each machine trace event.
+def _cumulative_rw(ops) -> list[tuple[int, int, int]]:
+    """(op index, cumulative reads, cumulative writes) after each I/O op
+    of a lowered ``seq_io`` op list.
 
-    ``machine.replay`` events carry their own exact (reads, writes) split;
-    load/store events contribute their word count to one direction.
+    LOAD adds its words to reads, STORE to writes; a REPLAY adds
+    ``repeats`` × its span's (reads, writes), read off the running prefix
+    sums — so a nested replay's span already holds the inner replays'
+    charges, as in :meth:`SequentialMachine.consume_ir`.
     """
-    out: list[tuple[int, int, dict]] = []
-    r = w = 0
-    for ev in events:
-        kind = ev.get("event", "")
-        if kind == "machine.load":
-            r += int(ev.get("words", 0))
-        elif kind == "machine.store":
-            w += int(ev.get("words", 0))
-        elif kind == "machine.replay":
-            r += int(ev.get("reads", 0))
-            w += int(ev.get("writes", 0))
-        else:
-            continue
-        out.append((r, w, ev))
+    from repro.schedule.ir import OpKind
+
+    prefix = [(0, 0)]
+    out: list[tuple[int, int, int]] = []
+    for i, op in enumerate(ops):
+        r, w = prefix[-1]
+        if op.kind is OpKind.LOAD:
+            r += op.words
+        elif op.kind is OpKind.STORE:
+            w += op.words
+        elif op.kind is OpKind.REPLAY:
+            (ra, wa), (rb, wb) = prefix[op.span[0]], prefix[op.span[1]]
+            r += (rb - ra) * op.repeats
+            w += (wb - wa) * op.repeats
+        prefix.append((r, w))
+        if op.kind in (OpKind.LOAD, OpKind.STORE, OpKind.REPLAY):
+            out.append((i, r, w))
     return out
 
 
-def localize_event_divergence(
-    events_a: list[dict], events_b: list[dict]
-) -> dict | None:
-    """First point where two machine event streams' ledgers separate.
+def localize_event_divergence(ops_a, ops_b) -> dict | None:
+    """First point where two lowered ``seq_io`` op lists' ledgers separate.
 
-    Stream A is the *coarser* one (e.g. the replay execution, whose
-    ``machine.replay`` events summarize whole sub-trees); stream B the
-    finer reference.  A is exact iff every cumulative (reads, writes)
-    checkpoint of A is hit *exactly* by some prefix of B, in order.
-    Returns ``None`` on full agreement, else a dict naming the first A
-    event whose checkpoint B cannot match.
+    List A is the *coarser* one (e.g. the replay lowering, whose REPLAY
+    ops summarize whole sub-trees); list B the finer reference.  A is
+    exact iff every cumulative (reads, writes) checkpoint of A is hit
+    *exactly* by some prefix of B, in order.  Returns ``None`` on full
+    agreement, else a dict naming the first A op (by its index in A)
+    whose checkpoint B cannot match.
     """
-    cum_a = _cumulative_rw(events_a)
-    cum_b = _cumulative_rw(events_b)
+    cum_a = _cumulative_rw(ops_a)
+    cum_b = _cumulative_rw(ops_b)
     j = 0
-    for idx, (ra, wa, ev) in enumerate(cum_a):
-        while j < len(cum_b) and (cum_b[j][0] < ra or cum_b[j][1] < wa):
+    before = 0
+    for idx, ra, wa in cum_a:
+        while j < len(cum_b) and (cum_b[j][1] < ra or cum_b[j][2] < wa):
             j += 1
-        got = cum_b[j][:2] if j < len(cum_b) else (cum_b[-1][0], cum_b[-1][1]) if cum_b else (0, 0)
+        got = cum_b[min(j, len(cum_b) - 1)][1:] if cum_b else (0, 0)
         if got != (ra, wa):
+            op = ops_a[idx]
             return {
                 "where": "event",
                 "index": idx,
-                "event": {k: ev.get(k) for k in ("event", "name", "words")},
+                "event": {"event": f"machine.{op.kind.value}", "name": op.name,
+                          "words": ra + wa - before},
                 "expected_cumulative": {"reads": ra, "writes": wa},
                 "got_cumulative": {"reads": got[0], "writes": got[1]},
             }
-    total_a = cum_a[-1][:2] if cum_a else (0, 0)
-    total_b = cum_b[-1][:2] if cum_b else (0, 0)
+        before = ra + wa
+    total_a = cum_a[-1][1:] if cum_a else (0, 0)
+    total_b = cum_b[-1][1:] if cum_b else (0, 0)
     if total_a != total_b:
         return {
             "where": "event",
-            "index": len(cum_a),
+            "index": len(ops_a),
             "event": {"event": "end-of-stream"},
             "expected_cumulative": {"reads": total_a[0], "writes": total_a[1]},
             "got_cumulative": {"reads": total_b[0], "writes": total_b[1]},
@@ -355,24 +364,10 @@ def _registry_seq_view(trace: dict) -> dict:
     }
 
 
-def _capture_seq_events(alg_spec, n: int, M: int, replay: bool) -> list[dict]:
-    """Re-run a seq_io execution with trace hooks, returning the event stream."""
-    from repro.engine.runners import execute_point, seq_io_point
-    from repro.machine import sequential
-
-    events: list[dict] = []
-    hook = events.append
-    sequential.add_trace_hook(hook)
-    try:
-        execute_point(seq_io_point(alg_spec, n, M, replay=replay).to_dict())
-    finally:
-        sequential.remove_trace_hook(hook)
-    return events
-
-
 def _run_level_replay_probe(probe: DifferentialProbe) -> ProbeOutcome:
     """seq_io through three ledgers: replay counters, full counters, registry."""
     from repro.engine.runners import execute_point, seq_io_point
+    from repro.schedule import lower, seq_io_schedule
 
     alg = probe.params["alg"]
     n, M = probe.params["n"], probe.params["M"]
@@ -393,8 +388,8 @@ def _run_level_replay_probe(probe: DifferentialProbe) -> ProbeOutcome:
     divergence = None
     if not agree:
         divergence = localize_event_divergence(
-            _capture_seq_events(alg_spec, n, M, replay=True),
-            _capture_seq_events(alg_spec, n, M, replay=False),
+            lower(seq_io_schedule(alg_spec, n, M, replay=True)).ops,
+            lower(seq_io_schedule(alg_spec, n, M, replay=False)).ops,
         ) or {"where": "totals", "counters": counters}
     return ProbeOutcome(probe=probe, counters=counters, agree=agree, divergence=divergence)
 

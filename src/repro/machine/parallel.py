@@ -12,36 +12,15 @@ counters.  The per-processor communication volume — the quantity Theorem
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.obs.metrics import active_registry
 
-__all__ = ["BSPMachine", "add_trace_hook", "remove_trace_hook"]
+__all__ = ["BSPMachine"]
 
 Message = tuple[int, str, np.ndarray]
-
-# Lightweight trace hooks (used by repro.engine): one event per superstep.
-# Supersteps also publish typed metrics (machine.bsp.*, see
-# docs/observability.md) into the active MetricsRegistry, if any.
-_TRACE_HOOKS: list[Callable[[dict], None]] = []
-
-
-def add_trace_hook(hook: Callable[[dict], None]) -> None:
-    """Register a callable invoked with an event dict after each superstep."""
-    _TRACE_HOOKS.append(hook)
-
-
-def remove_trace_hook(hook: Callable[[dict], None]) -> None:
-    """Unregister a hook previously added with :func:`add_trace_hook`."""
-    if hook in _TRACE_HOOKS:
-        _TRACE_HOOKS.remove(hook)
-
-
-def _emit(event: dict) -> None:
-    for hook in list(_TRACE_HOOKS):
-        hook(event)
 
 
 class BSPMachine:
@@ -117,26 +96,16 @@ class BSPMachine:
             self._check_capacity(rank)
         self.supersteps += 1
         reg = active_registry()
-        if reg is not None or _TRACE_HOOKS:
-            step_words = int(
-                sum(np.asarray(a).size for msgs in outboxes for _, _, a in msgs)
+        if reg is not None:
+            step_words = sum(
+                np.asarray(a).size for msgs in outboxes for _, _, a in msgs
             )
-            if reg is not None:
-                reg.inc("machine.bsp.supersteps")
-                reg.inc("machine.bsp.words", step_words)
-                reg.gauge_set("machine.bsp.total_io", self.total_io)
-                reg.gauge_max(
-                    "machine.bsp.max_io_per_processor", self.max_io_per_processor
-                )
-            if _TRACE_HOOKS:
-                _emit(
-                    {
-                        "event": "bsp.superstep",
-                        "step": self.supersteps,
-                        "words": step_words,
-                        "total_io": self.total_io,
-                    }
-                )
+            reg.inc("machine.bsp.supersteps")
+            reg.inc("machine.bsp.words", int(step_words))
+            reg.gauge_set("machine.bsp.total_io", self.total_io)
+            reg.gauge_max(
+                "machine.bsp.max_io_per_processor", self.max_io_per_processor
+            )
 
     # ------------------------------------------------------------------ #
     # collectives (convenience wrappers in the mpi4py idiom)

@@ -10,7 +10,7 @@ with :class:`FastMemoryOverflow` instead of silently under-counting.  That
 holds for the two geometry-charged runs too — a streamed linear
 combination (:meth:`SequentialMachine.stream_combination`) and a tile
 k-loop (:meth:`SequentialMachine.tile_k_loop`).  Each is one call whose
-counters, metrics and hook events are exactly those of its
+counters and registry metrics are exactly those of its
 transfer-by-transfer loop, computed from the chunk geometry in closed
 form, with the arithmetic done in bulk on the slow arrays.
 
@@ -33,58 +33,24 @@ from __future__ import annotations
 
 import tracemalloc
 from contextlib import contextmanager
-from typing import Callable
 
 import numpy as np
 
 from repro.obs.metrics import active_registry
 
-__all__ = [
-    "SequentialMachine",
-    "FastMemoryOverflow",
-    "StrictAccountingError",
-    "add_trace_hook",
-    "remove_trace_hook",
-]
-
-# Lightweight trace hooks (used by repro.engine): each registered callable
-# receives a plain dict describing one counted transfer.  The hot paths pay
-# only a truthiness check while no hook is registered.  Counted transfers
-# additionally publish typed metrics (machine.seq.*, see
-# docs/observability.md) into the active MetricsRegistry, if any.
-_TRACE_HOOKS: list[Callable[[dict], None]] = []
-
-
-def add_trace_hook(hook: Callable[[dict], None]) -> None:
-    """Register a callable invoked with an event dict per counted transfer."""
-    _TRACE_HOOKS.append(hook)
-
-
-def remove_trace_hook(hook: Callable[[dict], None]) -> None:
-    """Unregister a hook previously added with :func:`add_trace_hook`."""
-    if hook in _TRACE_HOOKS:
-        _TRACE_HOOKS.remove(hook)
-
-
-def _emit(event: dict) -> None:
-    for hook in list(_TRACE_HOOKS):
-        hook(event)
+__all__ = ["SequentialMachine", "FastMemoryOverflow", "StrictAccountingError"]
 
 
 def _publish_run(direction: str, words: int, count: int) -> None:
-    """The typed metrics of ``count`` counted transfers of ``words`` each."""
+    """Publish ``count`` counted transfers of ``words`` each as typed
+    metrics (``machine.seq.*``, docs/observability.md) into the active
+    :class:`~repro.obs.metrics.MetricsRegistry`, if any — the machine's
+    only instrumentation channel."""
     reg = active_registry()
     if reg is not None:
         reg.inc(f"machine.seq.{direction}s", count)
         reg.inc(f"machine.seq.{direction}_words", words * count)
         reg.observe("machine.seq.transfer_words", words, count)
-
-
-def _publish_transfer(direction: str, name: str, words: int) -> None:
-    """One counted transfer: typed metrics plus the legacy hook event."""
-    _publish_run(direction, words, 1)
-    if _TRACE_HOOKS:
-        _emit({"event": f"machine.{direction}", "name": name, "words": words})
 
 
 #: Fast names of the transient buffers of the two bulk calls, which the
@@ -232,7 +198,7 @@ class SequentialMachine:
             buf.flags.writeable = False
         self.fast[into or name] = buf
         self.words_read += arr.size
-        _publish_transfer("load", name, int(arr.size))
+        _publish_run("load", int(arr.size), 1)
         return buf
 
     def load_slice(self, name: str, idx, into: str, copy: bool = True) -> np.ndarray:
@@ -249,7 +215,7 @@ class SequentialMachine:
             buf.flags.writeable = False
         self.fast[into] = buf
         self.words_read += chunk.size
-        _publish_transfer("load", name, int(chunk.size))
+        _publish_run("load", int(chunk.size), 1)
         return buf
 
     def allocate(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -264,14 +230,14 @@ class SequentialMachine:
         buf = self.fast[name]
         self.slow[to or name] = buf.copy()
         self.words_written += buf.size
-        _publish_transfer("store", name, int(buf.size))
+        _publish_run("store", int(buf.size), 1)
 
     def store_slice(self, name: str, to: str, idx) -> None:
         """Write a fast buffer into a slice of a slow array; costs buffer size."""
         buf = self.fast[name]
         self.slow[to][idx] = buf
         self.words_written += buf.size
-        _publish_transfer("store", name, int(buf.size))
+        _publish_run("store", int(buf.size), 1)
 
     def free(self, name: str) -> None:
         """Drop a fast buffer (free: eviction of a clean/dead value)."""
@@ -308,11 +274,10 @@ class SequentialMachine:
         allocates an accumulator per chunk of :func:`stream_chunks`, loads
         each source's chunk into a second buffer, adds it and stores the
         accumulator: capacity checked once for the first (largest) chunk,
-        counters and metrics from the closed-form chunk sizes, one hook
-        event per transfer when hooks are registered.  The arithmetic runs
-        on the slow arrays, outside :meth:`compute`, in the same
-        elementwise order from a zero accumulator, so the block is
-        bit-identical to the loop's.
+        counters and metrics from the closed-form chunk sizes.  The
+        arithmetic runs on the slow arrays, outside :meth:`compute`, in
+        the same elementwise order from a zero accumulator, so the block
+        is bit-identical to the loop's.
         """
         hr, hc = shape
         self._check_pair(min(budget[0], hr) * min(budget[1], hc))
@@ -329,13 +294,6 @@ class SequentialMachine:
         for words, count in _chunk_sizes(shape, budget):
             _publish_run("load", words, len(sources) * count)
             _publish_run("store", words, count)
-        if _TRACE_HOOKS:
-            for _r, _c, rows, cols in stream_chunks(shape, budget):
-                for sname, *_ in sources:
-                    _emit({"event": "machine.load", "name": sname,
-                           "words": rows * cols})
-                _emit({"event": "machine.store", "name": STREAM_BUFFERS[0],
-                       "words": rows * cols})
 
     def tile_k_loop(
         self, a_name: str, b_name: str, into: str, i: int, j: int, b: int, qk: int
@@ -345,10 +303,9 @@ class SequentialMachine:
         Charged exactly as the loop that loads the A tile and the B tile
         of each k, multiplies them into charged scratch, adds and frees
         both: capacity checked once for one tile pair, counters and
-        metrics for 2·qk loads of b² words, one hook event per load when
-        hooks are registered.  The arithmetic runs on the slow arrays,
-        outside :meth:`compute`: one stacked matmul of the qk tile pairs,
-        then a sequential accumulate from the C tile in k order.
+        metrics for 2·qk loads of b² words.  The arithmetic runs on the
+        slow arrays, outside :meth:`compute`: one stacked matmul of the qk
+        tile pairs, then a sequential accumulate from the C tile in k order.
         """
         w = b * b
         self._check_pair(w)
@@ -362,10 +319,6 @@ class SequentialMachine:
         c_tile[...] = np.add.accumulate(terms, axis=0)[-1]
         self.words_read += 2 * qk * w
         _publish_run("load", w, 2 * qk)
-        if _TRACE_HOOKS:
-            for _k in range(qk):
-                _emit({"event": "machine.load", "name": a_name, "words": w})
-                _emit({"event": "machine.load", "name": b_name, "words": w})
 
     # ------------------------------------------------------------------ #
     # compute guard (strict-mode temporary instrumentation)
@@ -421,8 +374,9 @@ class SequentialMachine:
         return self.words_read - mark[0], self.words_written - mark[1]
 
     def replay(self, segment: tuple[int, int], label: str = "replay") -> None:
-        """Charge one more copy of an executed :meth:`segment` (level replay)."""
-        self.charge_replayed_io(*segment, 1, label=label)
+        """Charge one more copy of an executed :meth:`segment` (level replay);
+        ``label`` names the REPLAY op the schedule recorder makes of it."""
+        self.charge_replayed_io(*segment, 1)
 
     @contextmanager
     def phase(self, name: str):
@@ -433,9 +387,7 @@ class SequentialMachine:
         yield io
         io["io"] = self.io_operations - io0
 
-    def charge_replayed_io(
-        self, reads: int, writes: int, repeats: int, label: str = "replay"
-    ) -> None:
+    def charge_replayed_io(self, reads: int, writes: int, repeats: int) -> None:
         """Block-granular counter aggregation for level-replay executions.
 
         Adds ``repeats`` extra copies of an already-executed segment's
@@ -458,24 +410,13 @@ class SequentialMachine:
             # (repro.falsify.differential).
             reg.inc("machine.seq.replay_read_words", int(reads * repeats))
             reg.inc("machine.seq.replay_write_words", int(writes * repeats))
-        if _TRACE_HOOKS:
-            _emit(
-                {
-                    "event": "machine.replay",
-                    "name": label,
-                    "words": int((reads + writes) * repeats),
-                    "reads": int(reads * repeats),
-                    "writes": int(writes * repeats),
-                    "repeats": int(repeats),
-                }
-            )
 
     def consume_ir(self, ir) -> dict:
         """Charge a lowered :class:`repro.schedule.ir.ScheduleIR` op stream.
 
         This is the machine as an IR interpreter: every LOAD/STORE/ALLOC/
-        FREE op goes through the same capacity check, counters, registry
-        publications, and trace hooks as the physical executors' calls,
+        FREE op goes through the same capacity check, counters and registry
+        publications as the physical executors' calls,
         and REPLAY expansion records route through
         :meth:`charge_replayed_io` with their span's resolved (reads,
         writes) — nested replays included, since spans resolve in
@@ -499,11 +440,11 @@ class SequentialMachine:
                 self._charge_alloc(op.words)
                 self.words_read += op.words
                 r = op.words
-                _publish_transfer("load", op.name, op.words)
+                _publish_run("load", op.words, 1)
             elif op.kind is OpKind.STORE:
                 self.words_written += op.words
                 w = op.words
-                _publish_transfer("store", op.name, op.words)
+                _publish_run("store", op.words, 1)
             elif op.kind is OpKind.ALLOC:
                 self._charge_alloc(op.words)
             elif op.kind is OpKind.FREE:
@@ -517,8 +458,7 @@ class SequentialMachine:
                 a, b = op.span
                 rr = sum(op_reads[a:b])
                 ww = sum(op_writes[a:b])
-                self.charge_replayed_io(rr, ww, op.repeats,
-                                        label=op.name or "replay")
+                self.charge_replayed_io(rr, ww, op.repeats)
                 r = rr * op.repeats
                 w = ww * op.repeats
             elif op.kind is OpKind.COMPUTE:

@@ -1,11 +1,11 @@
 """Typed metrics: counters, gauges, and exact-integer-bucket histograms.
 
-A :class:`MetricsRegistry` is the typed replacement for the ad-hoc
-``HookCollector`` dicts: every instrumented layer (the machines, the
-pebbling validator, the engine) publishes into the *active* registry —
-one per experiment execution, activated with :func:`collecting` — and the
-registry's :meth:`~MetricsRegistry.to_dict` snapshot is what crosses the
-worker boundary, one plain dict per point.
+A :class:`MetricsRegistry` is the one instrumentation channel: every
+instrumented layer (the machines, the pebbling validator, the engine)
+publishes into the *active* registry — one per experiment execution,
+activated with :func:`collecting` — and the registry's
+:meth:`~MetricsRegistry.to_dict` snapshot is what crosses the worker
+boundary, one plain dict per point.
 
 Process model
 -------------
@@ -307,8 +307,7 @@ def active_registry() -> MetricsRegistry | None:
     """The registry instrumented code should publish into, if any.
 
     Hot paths call this once per event batch; it is a list peek, so the
-    cost while no collection is active is a truthiness check — the same
-    budget as the legacy ``_TRACE_HOOKS`` guard.
+    cost while no collection is active is a truthiness check.
     """
     return _ACTIVE[-1] if _ACTIVE else None
 

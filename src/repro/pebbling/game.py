@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.cdag.core import CDAG
 from repro.obs.metrics import active_registry
@@ -18,29 +18,7 @@ __all__ = [
     "validate_schedule",
     "validate_ir",
     "schedule_io",
-    "add_trace_hook",
-    "remove_trace_hook",
 ]
-
-# Lightweight trace hooks (used by repro.engine): one event per validated
-# schedule, carrying the full I/O statistics dict.
-_TRACE_HOOKS: list[Callable[[dict], None]] = []
-
-
-def add_trace_hook(hook: Callable[[dict], None]) -> None:
-    """Register a callable invoked with an event dict per validated schedule."""
-    _TRACE_HOOKS.append(hook)
-
-
-def remove_trace_hook(hook: Callable[[dict], None]) -> None:
-    """Unregister a hook previously added with :func:`add_trace_hook`."""
-    if hook in _TRACE_HOOKS:
-        _TRACE_HOOKS.remove(hook)
-
-
-def _emit(event: dict) -> None:
-    for hook in list(_TRACE_HOOKS):
-        hook(event)
 
 
 class MoveKind(str, Enum):
@@ -204,8 +182,6 @@ def validate_schedule(
         reg.inc("pebble.moves", len(schedule.moves))
         reg.inc("pebble.io", stats["io"])
         reg.gauge_max("pebble.peak_red", peak_red)
-    if _TRACE_HOOKS:
-        _emit({"event": "pebble.validated", **stats})
     return stats
 
 

@@ -238,6 +238,5 @@ def execute(spec: ScheduleSpec, machine=None) -> dict:
     else:
         raise KeyError(f"symbolic backend: unknown workload kind {spec.kind!r}")
     if machine is not None and spec.kind == "seq_io":
-        machine.charge_replayed_io(metrics["reads"], metrics["writes"], 1,
-                                   label="schedule.symbolic")
+        machine.charge_replayed_io(metrics["reads"], metrics["writes"], 1)
     return metrics

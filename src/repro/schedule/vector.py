@@ -208,6 +208,5 @@ def execute(ir: ScheduleIR, machine=None) -> dict:
     if machine is not None and ir.kind == "seq_io":
         # Fold the counted totals into a live machine's ledger (block
         # charge; the per-op walk is the reference backend's job).
-        machine.charge_replayed_io(metrics["reads"], metrics["writes"], 1,
-                                   label="schedule.vector")
+        machine.charge_replayed_io(metrics["reads"], metrics["writes"], 1)
     return metrics

@@ -43,6 +43,7 @@ endpoint heartbeat on ``flush_interval_s``).
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import signal
@@ -64,6 +65,7 @@ from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.coalesce import Coalescer
 from repro.serve.queue import Job, JobQueue, QueueFull
+from repro.serve import wal as _wal
 from repro.serve.wal import WAL_SYNC_MODES, WriteAheadLog
 
 __all__ = ["ServeConfig", "Daemon", "DrainingError", "ENDPOINT_NAME", "WAL_NAME"]
@@ -203,6 +205,8 @@ class Daemon:
 
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
+        # (submitted_at, id) of the terminal jobs in _jobs, oldest first
+        self._terminal: list[tuple[float, str]] = []
         self._job_attempts: dict[str, int] = {}
         self._mem_cache: OrderedDict[str, dict] = OrderedDict()
         self._mem_lock = threading.Lock()
@@ -302,9 +306,11 @@ class Daemon:
                 self._jobs[jid] = job
             if entry["status"] == "done":
                 job.finish(entry["result"], state="done")
+                self._retire([job])
             elif entry["status"] == "cancelled":
                 job.state = "cancelled"
                 job.done_event.set()
+                self._retire([job])
             else:
                 pending.append({"job": job, "into": entry["coalesced_into"],
                                 "entry": entry})
@@ -339,12 +345,26 @@ class Daemon:
             for follower in job.followers:
                 self.wal.append("done", id=follower.id, result=result)
         job.finish(result, state=state)
+        self._retire([job, *job.followers])
         self.coalescer.release(job)
         status = result.get("status", "ok")
         name = "serve.jobs.done" if status == "ok" else "serve.jobs.failed"
         self.metrics.inc(name, 1 + len(job.followers))
         if status == "timeout":
             self.metrics.inc("serve.jobs.expired")
+
+    def _retire(self, jobs: list[Job]) -> None:
+        """Forget the attempts of jobs that turned terminal and keep at
+        most :data:`repro.serve.wal.KEEP_TERMINAL` terminal jobs
+        answerable, evicting the oldest submitted first — the ones a
+        compaction drops from the WAL.  An evicted id is unknown, as after
+        a restart."""
+        with self._jobs_lock:
+            for job in jobs:
+                self._job_attempts.pop(job.id, None)
+                heapq.heappush(self._terminal, (job.submitted_at, job.id))
+            while len(self._terminal) > _wal.KEEP_TERMINAL:
+                self._jobs.pop(heapq.heappop(self._terminal)[1], None)
 
     # ------------------------------------------------------------------ #
     # admission (called from HTTP handler threads)

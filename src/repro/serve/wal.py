@@ -50,7 +50,8 @@ An append-only log grows forever, so :meth:`WriteAheadLog.compact`
 atomically rewrites it from a folded ledger — pending jobs keep their
 ``submit`` records, terminal jobs collapse to ``submit`` + ``done``, and
 everything older than the newest ``keep_terminal`` terminal jobs is
-dropped.  The daemon compacts after every replay.
+dropped (:data:`KEEP_TERMINAL`).  The daemon compacts after every replay
+and keeps the same number of terminal jobs in memory.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from pathlib import Path
 
 __all__ = [
     "WAL_SYNC_MODES",
+    "KEEP_TERMINAL",
     "WALError",
     "WriteAheadLog",
     "iter_records",
@@ -72,6 +74,9 @@ __all__ = [
 ]
 
 WAL_SYNC_MODES = ("always", "batch", "off")
+
+#: Terminal jobs a compaction keeps on disk, and the daemon in memory.
+KEEP_TERMINAL = 10_000
 
 #: Record types that end a job's lifecycle.
 _TERMINAL_TYPES = ("done", "cancel")
@@ -220,12 +225,13 @@ class WriteAheadLog:
         """The folded ledger of everything currently in the log."""
         return fold_records(iter_records(self.path, strict=strict))
 
-    def compact(self, ledger: dict[str, dict], keep_terminal: int = 10_000) -> int:
+    def compact(self, ledger: dict[str, dict], keep_terminal: int | None = None) -> int:
         """Atomically rewrite the log from a folded ledger.
 
         Pending (and coalesced-pending) jobs keep their full record
         chains; terminal jobs keep ``submit`` + terminal record, oldest
-        terminal jobs beyond ``keep_terminal`` are dropped entirely.
+        terminal jobs beyond ``keep_terminal`` (default
+        :data:`KEEP_TERMINAL`) are dropped entirely.
         Returns the number of jobs written.  The append handle is
         re-opened on the new file, so the log object stays usable.
         """
@@ -235,7 +241,8 @@ class WriteAheadLog:
             if entry["status"] != "pending"
         ]
         terminal.sort()
-        dropped = {jid for _, jid, _ in terminal[: max(0, len(terminal) - keep_terminal)]}
+        keep = KEEP_TERMINAL if keep_terminal is None else keep_terminal
+        dropped = {jid for _, jid, _ in terminal[: max(0, len(terminal) - keep)]}
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".wal.tmp")
         written = 0
         try:

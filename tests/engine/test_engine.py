@@ -297,41 +297,36 @@ class TestTraceEvents:
 
     def test_machine_counters_in_trace(self):
         res = run_point(seq_io_point("strassen", 16, M))
-        events = res.trace["events"]
-        assert events["machine.load"]["count"] > 0
-        assert events["machine.store"]["words"] > 0
-        # aggregated hook words equal the machine's counted I/O; replay
-        # points charge the skipped isomorphic sub-problems via
-        # machine.replay events
+        counters = res.trace["metrics"]["counters"]
+        assert counters["machine.seq.loads"] > 0
+        assert counters["machine.seq.store_words"] > 0
+        # the registry's transfer words equal the machine's counted I/O;
+        # replay points charge the skipped isomorphic sub-problems via
+        # machine.seq.replay_words
         total = (
-            events["machine.load"]["words"]
-            + events["machine.store"]["words"]
-            + events.get("machine.replay", {}).get("words", 0)
+            counters["machine.seq.load_words"]
+            + counters["machine.seq.store_words"]
+            + counters.get("machine.seq.replay_words", 0)
         )
         assert total == res.metrics["io"]
+        assert "events" not in res.trace
 
     def test_full_execution_trace_has_no_replay(self):
         res = run_point(seq_io_point("strassen", 16, M, replay=False))
-        events = res.trace["events"]
-        assert "machine.replay" not in events
-        total = events["machine.load"]["words"] + events["machine.store"]["words"]
+        counters = res.trace["metrics"]["counters"]
+        assert "machine.seq.replays" not in counters
+        total = counters["machine.seq.load_words"] + counters["machine.seq.store_words"]
         assert total == res.metrics["io"]
 
     def test_pebble_trace_event(self):
         from repro.engine import segment_audit_point
 
         res = run_point(segment_audit_point("strassen", n=4, M=16))
-        assert res.trace["events"]["pebble.validated"]["count"] == 1
+        assert res.trace["metrics"]["counters"]["pebble.validated"] == 1
 
     def test_bsp_trace_event(self):
         res = run_point(parallel_comm_point(None, 8, 4))
-        assert res.trace["events"]["bsp.superstep"]["count"] > 0
-
-    def test_hooks_unregistered_after_run(self):
-        from repro.machine import sequential as seq
-
-        run_point(seq_io_point("strassen", 8, M))
-        assert seq._TRACE_HOOKS == []
+        assert res.trace["metrics"]["counters"]["machine.bsp.supersteps"] > 0
 
 
 class TestBackendSelection:

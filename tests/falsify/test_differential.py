@@ -1,6 +1,7 @@
 """The differential executor: exact three-way agreement on real probes,
 and first-divergence localization on synthetically tampered inputs."""
 
+import dataclasses
 import json
 
 from repro.cdag.families import binary_tree_cdag
@@ -15,6 +16,8 @@ from repro.falsify.differential import (
 from repro.obs import collecting
 from repro.pebbling.game import Move, MoveKind, Schedule
 from repro.pebbling.heuristics import topological_schedule
+from repro.schedule import lower, seq_io_schedule
+from repro.schedule.ir import Op, OpKind
 
 
 class TestAgreement:
@@ -117,22 +120,21 @@ class TestAgreement:
 class TestEventLocalization:
     @staticmethod
     def _loads(words):
-        return [{"event": "machine.load", "name": "A", "words": w} for w in words]
+        return [Op(OpKind.LOAD, "A", w) for w in words]
 
     def test_identical_streams_agree(self):
-        ev = self._loads([4, 4, 8]) + [{"event": "machine.store", "name": "C", "words": 2}]
-        assert localize_event_divergence(ev, ev) is None
+        ops = self._loads([4, 4, 8]) + [Op(OpKind.STORE, "C", 2)]
+        assert localize_event_divergence(ops, ops) is None
 
     def test_replay_summary_aligns_with_fine_stream(self):
         fine = self._loads([4, 4, 8, 8])
-        coarse = self._loads([4]) + [
-            {"event": "machine.replay", "reads": 20, "writes": 0}
-        ]
+        # one more copy of op 0's 4 reads, five times: 20 reads
+        coarse = self._loads([4]) + [Op(OpKind.REPLAY, span=(0, 1), repeats=5)]
         assert localize_event_divergence(coarse, fine) is None
 
     def test_tampered_stream_is_localized(self):
         fine = self._loads([4, 4, 8])
-        tampered = self._loads([4, 5, 8])  # one extra word on event 1
+        tampered = self._loads([4, 5, 8])  # one extra word on op 1
         div = localize_event_divergence(tampered, fine)
         assert div is not None and div["where"] == "event"
         assert div["index"] == 1
@@ -143,6 +145,22 @@ class TestEventLocalization:
         short = self._loads([4, 4])
         div = localize_event_divergence(short, fine)
         assert div is not None and div["index"] == 2
+
+    def test_real_lowered_schedules(self):
+        """The probe's own inputs: the replay and full lowerings of one
+        point agree; one word more on a LOAD is named at that op."""
+        replay = lower(seq_io_schedule("strassen", 16, 48, replay=True)).ops
+        full = lower(seq_io_schedule("strassen", 16, 48, replay=False)).ops
+        assert any(op.kind is OpKind.REPLAY for op in replay)
+        assert localize_event_divergence(replay, full) is None
+        loads = [i for i, op in enumerate(replay) if op.kind is OpKind.LOAD]
+        idx = loads[len(loads) // 2]
+        tampered = [dataclasses.replace(op) for op in replay]
+        tampered[idx].words += 1
+        div = localize_event_divergence(tampered, full)
+        assert div is not None and div["where"] == "event"
+        assert div["index"] == idx
+        assert div["event"]["event"] == "machine.load"
 
 
 class TestRowLocalization:

@@ -224,6 +224,34 @@ class TestReplay:
         assert sorted(e["status"] for e in ledger.values()) == ["done", "pending"]
 
 
+class TestTerminalJobBound:
+    def test_daemon_keeps_as_many_terminal_jobs_as_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.wal.KEEP_TERMINAL", 4)
+        d = Daemon(_config(tmp_path))
+        jobs = []
+        for M in range(40, 50):  # ten distinct points
+            jobs.append(d.submit(KIND, _params(M=M)))
+            job = d.queue.get(timeout=1.0)
+            if M == 40:  # one retried job: its attempt count is tracked
+                d._retry_or_fail(job, "error", "BrokenProcessPool", "lost")
+                assert d._job_attempts == {job.id: 1}
+                job = d.queue.get(timeout=1.0)
+            d._dispatch(job)
+        assert all(job.result["status"] == "ok" for job in jobs)
+        assert sum(j.state == "done" for j in d._jobs.values()) <= 4
+        assert d._job_attempts == {}
+        kept = {j.id for j in jobs if d.lookup(j.id) is not None}
+        assert kept == {j.id for j in jobs[-4:]}
+
+        # a restart's compaction keeps the same ids answerable
+        d.wal.sync()
+        d2 = Daemon(_config(tmp_path))
+        d2._replay()
+        assert {j.id for j in jobs if d2.lookup(j.id) is not None} == kept
+
+
 class TestMemCache:
     def test_lru_evicts_the_coldest_entry(self, tmp_path):
         d = Daemon(_config(tmp_path, mem_cache_entries=2))
