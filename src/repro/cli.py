@@ -797,7 +797,8 @@ def main(argv: list[str] | None = None) -> int:
              "or any corpus entry from `repro zoo list`",
     )
     p_sweep.add_argument("--json", action="store_true", help="machine-readable output")
-    p_sweep.add_argument("--jsonl", default=None, help="append RunResults as JSONL")
+    p_sweep.add_argument("--jsonl", default=None,
+                         help="append RunResults as CRC32-prefixed JSON lines")
     p_sweep.add_argument(
         "--no-replay",
         action="store_true",
@@ -960,7 +961,8 @@ def main(argv: list[str] | None = None) -> int:
         help="classical leaf scheme for --hybrid sweeps",
     )
     p_zs.add_argument("--json", action="store_true", help="machine-readable output")
-    p_zs.add_argument("--jsonl", default=None, help="append RunResults as JSONL")
+    p_zs.add_argument("--jsonl", default=None,
+                      help="append RunResults as CRC32-prefixed JSON lines")
     p_zs.set_defaults(fn=_cmd_zoo_sweep)
 
     p_falsify = sub.add_parser(

@@ -14,7 +14,9 @@ that property into infrastructure:
 * :mod:`repro.engine.trace` — the structured engine-event stream;
 * :mod:`repro.engine.core` — :func:`run_point` / :func:`run_sweep` with
   the :class:`EngineConfig`-controlled process-pool fan-out, per-point
-  timeouts, retries, pool recovery, and incremental JSONL checkpointing;
+  timeouts, retries, pool recovery, and incremental checkpointing;
+* :mod:`repro.engine.wal` — the checksummed append-only record log that
+  sweeps' ``results.jsonl`` and the serve daemon's WAL share;
 * :mod:`repro.engine.pool` — the worker-pool supervisor shared with the
   serve daemon: pools that outlive their caller, timeout kills, rebuilds
   and the circuit breaker that degrades to serial execution;

@@ -5,9 +5,9 @@ two-character shard directory derived from the key::
 
     <cache_dir>/<key[:2]>/<key>.json
 
-Writes are atomic (temp file + ``os.replace``) so a crashed or concurrent
-sweep can never leave a truncated entry behind.  A corrupt entry still
-reads as a miss, but it is never silently discarded: :meth:`ResultCache.get`
+Writes are atomic (:func:`repro.engine.wal.atomic_write`) so a crashed or
+concurrent sweep can never leave a truncated entry behind.  A corrupt entry
+still reads as a miss, but it is never silently discarded: :meth:`ResultCache.get`
 moves it to ``<cache_dir>/quarantine/`` for post-mortem inspection and
 reports it through the ``on_corrupt`` callback (the engine forwards that
 as an ``engine.cache.corrupt`` trace event).  :meth:`ResultCache.verify`
@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable
+
+from repro.engine.wal import atomic_write
 
 __all__ = ["ResultCache"]
 
@@ -125,20 +126,9 @@ class ResultCache:
     def put(self, key: str, payload: dict) -> None:
         """Atomically persist ``payload`` under ``key``; enforce the budget."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # one-shot dumps runs json's C encoder (json.dump streams
-                # through the pure-Python one); the bytes are the same
-                fh.write(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        # one-shot dumps runs json's C encoder (json.dump streams through
+        # the pure-Python one); the bytes are the same
+        atomic_write(path, json.dumps(payload, sort_keys=True).encode("utf-8"))
         if self.max_bytes is not None:
             if self._approx_bytes is None:
                 self._approx_bytes = self.total_bytes()

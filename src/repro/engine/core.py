@@ -24,8 +24,8 @@ points, so the engine can
   fresh pool — degrading to serial in-process execution after more than
   ``max_pool_rebuilds`` unexpected breaks instead of aborting;
 * checkpoint incrementally: every completed point is cached and appended
-  to the JSONL stream *as it finishes*, so an aborted sweep resumes from
-  cache with zero recomputation.
+  to the checksummed result log *as it finishes*, so an aborted sweep
+  resumes from cache with zero recomputation.
 
 A sweep never raises for a failing point: survivors land in
 ``SweepResult.points``, permanent failures in ``SweepResult.failures``
@@ -36,14 +36,12 @@ with a typed status (``error`` / ``timeout`` / ``skipped``), and
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import signal
 import threading
 import time
 import traceback
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -55,6 +53,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.pool import CircuitBreaker, Supervisor
 from repro.engine.runners import PRIMARY_METRIC, ExperimentPoint, execute_point
 from repro.engine.trace import Tracer
+from repro.engine.wal import RecordLog, iter_records
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILE_MODES, PROFILE_SUBDIR
@@ -114,8 +113,9 @@ class EngineConfig:
         ``engine.cache.hit/miss/corrupt``, ``engine.pool.broken/degraded``).
     jsonl_path:
         When set, every :class:`RunResult` of a sweep is appended as one
-        JSON line *as it completes* (the incremental checkpoint stream,
-        consumable by :func:`repro.analysis.fitting.sweep_from_jsonl`).
+        checksummed record (:mod:`repro.engine.wal`) *as it completes* —
+        the incremental checkpoint stream, consumable by
+        :func:`repro.analysis.fitting.sweep_from_jsonl`.
     point_timeout_s:
         Per-point wall-clock limit.  Only enforceable with ``workers > 1``
         (an in-process point cannot be killed); a point that exceeds it is
@@ -156,7 +156,7 @@ class EngineConfig:
     handle_signals:
         Drain gracefully on SIGTERM/SIGINT (main thread only): stop
         dispatching, mark the in-flight and queued points ``skipped``,
-        flush the JSONL checkpoint and the manifest, and return the
+        flush the result log and the manifest, and return the
         partial :class:`SweepResult` (``stats["interrupted"] = 1``)
         instead of dying mid-write.  A second signal falls through to
         the previous handler.
@@ -353,7 +353,7 @@ class _SweepRunner:
         self.degraded = False
         self.stop = False  # tripped by fail_fast or a drain signal
         self.interrupted = False  # SIGTERM/SIGINT received mid-sweep
-        self._jsonl_fh = None
+        self._log: RecordLog | None = None
         self.manifest: RunManifest | None = (
             RunManifest(config.sweep_dir) if config.sweep_dir is not None else None
         )
@@ -366,9 +366,8 @@ class _SweepRunner:
         return int(self.metrics.value(name))
 
     def _write_jsonl(self, run: RunResult) -> None:
-        if self._jsonl_fh is not None:
-            self._jsonl_fh.write(json.dumps(run.to_dict(), sort_keys=True) + "\n")
-            self._jsonl_fh.flush()
+        if self._log is not None:
+            self._log.append(run.to_dict())
 
     def _record(self, index: int, run: RunResult) -> None:
         self.results[index] = run
@@ -442,7 +441,7 @@ class _SweepRunner:
         )
         self.failures.append(run)
         self.metrics.inc(f"engine.failures.{status}")
-        # skipped records go to the checkpoint stream too: the JSONL file
+        # skipped records go to the checkpoint stream too: the result log
         # is the sweep's per-point ledger, folded into the manifest on load
         self._write_jsonl(run)
         if self.config.fail_fast and status != "skipped":
@@ -633,14 +632,8 @@ class _SweepRunner:
         t_start = time.perf_counter()
         jsonl_path = cfg.resolved_jsonl_path()
         if jsonl_path is not None:
-            jsonl_path.parent.mkdir(parents=True, exist_ok=True)
-            tail = jsonl_path.read_bytes() if jsonl_path.is_file() else b""
-            if tail and not tail.endswith(b"\n"):
-                # a writer killed mid-line left a record it never
-                # acknowledged; appending after it would corrupt the stream
-                with jsonl_path.open("r+b") as fh:
-                    fh.truncate(tail.rfind(b"\n") + 1)
-            self._jsonl_fh = jsonl_path.open("a", encoding="utf-8")
+            # flushed per record, never fsync'd: a point is cheap to redo
+            self._log = RecordLog(jsonl_path, sync="off")
         if self.manifest is not None:
             self.manifest.start(cfg.public_dict(), self.parameter, self.points)
         previous_handlers = self._install_signal_handlers()
@@ -671,9 +664,9 @@ class _SweepRunner:
                     self._run_serial(tasks)
         finally:
             self._restore_signal_handlers(previous_handlers)
-            if self._jsonl_fh is not None:
-                self._jsonl_fh.close()
-                self._jsonl_fh = None
+            if self._log is not None:
+                self._log.close()
+                self._log = None
         return self._assemble(t_start)
 
     def _assemble(self, t_start: float) -> SweepResult:
@@ -760,27 +753,13 @@ def run_sweep(
 
 
 def load_results_jsonl(path: str | Path) -> list[RunResult]:
-    """Read back the JSONL stream a sweep wrote (one RunResult per line).
+    """Read back the log a sweep wrote, one RunResult per record.
 
-    A truncated *final* line — the signature of a killed writer — is
-    skipped with a warning; corruption anywhere else still raises.
+    The log is :mod:`repro.engine.wal`'s checksummed format: a torn final
+    line is skipped silently, a bad line anywhere else raises
+    :class:`~repro.engine.wal.WALError`.  Unframed lines from older sweeps
+    still load.
     """
-    out = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(RunResult.from_dict(json.loads(line)))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                warnings.warn(
-                    f"{path}: skipping truncated final JSONL line "
-                    f"(interrupted writer)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            raise
-    return out
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"no result log at {path}")
+    return [RunResult.from_dict(record) for record in iter_records(path)]

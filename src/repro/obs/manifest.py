@@ -1,9 +1,9 @@
 """The run manifest: ``manifest.json`` makes a sweep directory self-describing.
 
-``_SweepRunner`` writes it atomically (temp file + ``os.replace``) at
-start — the header and a ``pending`` row per point — and at end or drain,
-adding the stats and the sweep-level metrics snapshot.  The per-point
-ledger lives in the checkpoint stream (``config["jsonl_path"]``, by
+``_SweepRunner`` writes it atomically at start — the header and a
+``pending`` row per point — and at end or drain, adding the stats and the
+sweep-level metrics snapshot.  The per-point ledger lives in the
+checksummed :mod:`repro.engine.wal` log (``config["jsonl_path"]``, by
 default ``results.jsonl``): :meth:`RunManifest.load` folds it over the
 rows, the last record per key winning, as ``serve.wal.fold_records``
 folds the WAL.  So even a killed sweep's directory is
@@ -38,11 +38,9 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import platform
 import socket
 import subprocess
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Mapping
@@ -153,21 +151,12 @@ class RunManifest:
     # -- persistence ---------------------------------------------------- #
     def write(self) -> None:
         """Atomic rewrite: a crashed sweep never leaves a torn manifest."""
+        from repro.engine.wal import atomic_write
+
         self.data["updated_at"] = time.time()
-        self.dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # one-shot compact dumps runs json's C encoder (json.dump
-                # and indent both force the pure-Python one)
-                fh.write(json.dumps(self.data, sort_keys=True))
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        # one-shot compact dumps runs json's C encoder (json.dump and
+        # indent both force the pure-Python one)
+        atomic_write(self.path, json.dumps(self.data, sort_keys=True).encode("utf-8"))
 
     @staticmethod
     def load(path: str | Path) -> dict:

@@ -220,8 +220,9 @@ def _ledger(sweep_dir: Path, manifest: dict | None) -> dict | None:
     if manifest is None:
         return None
     if manifest.get("parameter") == "serve":
+        from repro.engine.wal import iter_records
         from repro.serve.daemon import WAL_NAME
-        from repro.serve.wal import fold_records, iter_records
+        from repro.serve.wal import fold_records
 
         jobs = fold_records(iter_records(sweep_dir / WAL_NAME, strict=False))
         statuses = [

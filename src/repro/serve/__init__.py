@@ -4,8 +4,8 @@ The engine (:mod:`repro.engine`) runs *batch* sweeps; this package keeps
 the same pure, content-addressed execution machinery alive behind a
 local HTTP/JSON API, hardened for long-lived operation:
 
-* :mod:`repro.serve.wal` — crash-safe write-ahead log (checksummed,
-  fsync'd, replayable, compactable);
+* :mod:`repro.serve.wal` — crash-safe write-ahead job log (the engine's
+  checksummed record log, fsync'd, replayable, compactable);
 * :mod:`repro.serve.queue` — bounded admission queue (backpressure →
   HTTP 429 + Retry-After);
 * :mod:`repro.serve.coalesce` — identical in-flight points execute once;
@@ -34,7 +34,7 @@ from repro.serve.api import ServeClient, ServeError
 from repro.serve.coalesce import Coalescer
 from repro.serve.daemon import Daemon, DrainingError, ServeConfig
 from repro.serve.queue import JOB_STATES, Job, JobQueue, QueueFull
-from repro.serve.wal import WALError, WriteAheadLog, fold_records, iter_records
+from repro.serve.wal import WriteAheadLog, fold_records
 
 __all__ = [
     "Daemon",
@@ -43,8 +43,6 @@ __all__ = [
     "ServeError",
     "DrainingError",
     "WriteAheadLog",
-    "WALError",
-    "iter_records",
     "fold_records",
     "Job",
     "JobQueue",

@@ -61,12 +61,13 @@ from repro.engine.core import EngineConfig
 from repro.engine.keys import point_key
 from repro.engine.pool import CircuitBreaker, PoolVictim, Supervisor
 from repro.engine.runners import execute_point
+from repro.engine.wal import WAL_SYNC_MODES, atomic_write
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.coalesce import Coalescer
 from repro.serve.queue import Job, JobQueue, QueueFull
 from repro.serve import wal as _wal
-from repro.serve.wal import WAL_SYNC_MODES, WriteAheadLog
+from repro.serve.wal import WriteAheadLog
 
 __all__ = ["ServeConfig", "Daemon", "DrainingError", "ENDPOINT_NAME", "WAL_NAME"]
 
@@ -104,7 +105,7 @@ class ServeConfig:
     queue_depth / retry_after_s:
         Admission bound and the 429 ``Retry-After`` hint.
     wal_sync:
-        WAL durability, one of :data:`~repro.serve.wal.WAL_SYNC_MODES`.
+        WAL durability, one of :data:`~repro.engine.wal.WAL_SYNC_MODES`.
     breaker_threshold / breaker_cooldown_s:
         Circuit-breaker tuning (consecutive pool breaks to trip; seconds
         open before the half-open probe).
@@ -341,9 +342,8 @@ class Daemon:
         if state is None:
             state = "done" if result.get("status") == "ok" else "failed"
         if wal:
-            self.wal.append("done", id=job.id, result=result)
-            for follower in job.followers:
-                self.wal.append("done", id=follower.id, result=result)
+            for done in (job, *job.followers):
+                self.wal.append({"type": "done", "id": done.id, "result": result})
         job.finish(result, state=state)
         self._retire([job, *job.followers])
         self.coalescer.release(job)
@@ -448,12 +448,13 @@ class Daemon:
         # before the caller acknowledges it.  A crash in between loses a
         # job the client was never told about — acceptable; a crash any
         # time after the ack replays it.
-        self.wal.append(
-            "submit", id=job.id, kind=job.kind, params=job.params,
-            key=job.key, deadline=job.deadline, submitted_at=job.submitted_at,
-        )
+        self.wal.append({
+            "type": "submit", "id": job.id, "kind": job.kind,
+            "params": job.params, "key": job.key, "deadline": job.deadline,
+            "submitted_at": job.submitted_at,
+        })
         if leader is not None:
-            self.wal.append("coalesce", id=job.id, into=leader.id)
+            self.wal.append({"type": "coalesce", "id": job.id, "into": leader.id})
         with self._jobs_lock:
             self._jobs[job.id] = job
         depth = len(self.queue)
@@ -602,10 +603,8 @@ class Daemon:
             "pid": os.getpid(),
             "started_at": self.started_at,
         }
-        path = self.config.serve_dir / ENDPOINT_NAME
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        atomic_write(self.config.serve_dir / ENDPOINT_NAME,
+                     json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     def stats(self) -> dict:
         """JSON-safe operational summary (feeds /status and the manifest)."""

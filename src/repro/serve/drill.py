@@ -36,9 +36,9 @@ from pathlib import Path
 
 from repro.engine.faults import ENV_VAR as FAULTS_ENV
 from repro.engine.faults import FaultPlan, FaultRule
+from repro.engine.wal import iter_records
 from repro.serve.api import ServeClient, ServeError
 from repro.serve.daemon import ENDPOINT_NAME, WAL_NAME
-from repro.serve.wal import iter_records
 
 __all__ = ["run_drill"]
 

@@ -1,5 +1,6 @@
 """Engine behavior: caching, parallel fan-out, trace events, wrappers."""
 
+import re
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ from repro.engine import (
     run_sweep,
     seq_io_point,
 )
+from repro.engine.wal import WALError
 
 SIZES = [8, 16, 32]
 M = 48
@@ -189,27 +191,42 @@ class TestRunSweep:
 
     def test_jsonl_tolerates_truncated_final_line(self, tmp_path):
         """A writer killed mid-line must not poison the stream: the
-        truncated final line is skipped with a warning, not an exception."""
+        truncated final line is skipped silently, not an exception."""
         path = tmp_path / "runs.jsonl"
         res = run_sweep(_points(), EngineConfig(jsonl_path=path))
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"key": "deadbeef", "kind": "seq_io", "par')  # no newline
-        with pytest.warns(RuntimeWarning, match="truncated final"):
-            loaded = load_results_jsonl(path)
+        loaded = load_results_jsonl(path)
         assert [r.fingerprint() for r in loaded] == [
             r.fingerprint() for r in res.runs
         ]
 
     def test_jsonl_mid_file_corruption_still_raises(self, tmp_path):
-        import json as _json
-
         path = tmp_path / "runs.jsonl"
         run_sweep(_points(), EngineConfig(jsonl_path=path))
         lines = path.read_text().splitlines()
         lines[0] = lines[0][:20]  # corrupt a non-final line
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(_json.JSONDecodeError):
+        with pytest.raises(WALError):
             load_results_jsonl(path)
+
+    def test_flipped_digit_mid_file_raises(self, tmp_path):
+        """A flipped digit in a point's count leaves valid JSON: only the
+        checksum keeps it from loading as a different measurement."""
+        from repro.obs.manifest import MANIFEST_NAME, RunManifest
+
+        sweep_dir = tmp_path / "sweep"
+        run_sweep(_points(), EngineConfig(sweep_dir=sweep_dir))
+        stream = sweep_dir / "results.jsonl"
+        lines = stream.read_text().splitlines(keepends=True)
+        digit = re.search(r'"io": ?(\d)', lines[1])
+        flipped = "3" if digit.group(1) == "2" else "2"
+        lines[1] = lines[1][: digit.start(1)] + flipped + lines[1][digit.end(1):]
+        stream.write_text("".join(lines))
+        with pytest.raises(WALError, match="checksum mismatch at record 1"):
+            load_results_jsonl(stream)
+        with pytest.raises(WALError):
+            RunManifest.load(sweep_dir / MANIFEST_NAME)
 
     def test_resume_after_torn_line_keeps_stream_readable(self, tmp_path):
         """A sweep killed mid-line and re-run into the same directory must

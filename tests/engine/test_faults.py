@@ -26,6 +26,7 @@ from repro.engine import (
     run_sweep,
     seq_io_point,
 )
+from repro.engine.wal import iter_records
 
 SIZES = [8, 16, 32]
 M = 48
@@ -236,7 +237,7 @@ class TestCheckpointResume:
                 _points(),
                 EngineConfig(workers=0, jsonl_path=path),
             )
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        lines = list(iter_records(path))
         assert [l["status"] for l in lines] == ["ok", "error", "ok"]
         assert [l["params"]["n"] for l in lines] == SIZES
         assert lines[1]["error"]["type"] == "FaultInjected"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine import load_results_jsonl
 
 
 class TestCLI:
@@ -80,7 +81,7 @@ class TestCLIJson:
         assert payload["stats"]["cache_hits"] == 1
         lines = (tmp_path / "runs.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2  # appended across both invocations
-        assert json.loads(lines[0])["kind"] == "seq_io"
+        assert load_results_jsonl(tmp_path / "runs.jsonl")[0].kind == "seq_io"
 
     def test_sweep_classical_algorithm(self, capsys):
         assert main(["sweep", "16", "--M", "48", "--algorithm", "classical", "--json"]) == 0

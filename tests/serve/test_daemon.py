@@ -12,15 +12,10 @@ import pytest
 
 from repro.analysis.results import RunResult
 from repro.engine.keys import point_key
-from repro.serve import (
-    Daemon,
-    DrainingError,
-    QueueFull,
-    ServeConfig,
-    WriteAheadLog,
-    iter_records,
-)
+from repro.engine.wal import encode, iter_records
+from repro.serve import Daemon, DrainingError, QueueFull, ServeConfig, WriteAheadLog
 from repro.serve.daemon import WAL_NAME
+from repro.serve.wal import fold_records
 
 KIND = "seq_io"
 
@@ -192,12 +187,14 @@ class TestReplay:
                            metrics={"io": 42.0}, cached=False,
                            wall_time_s=0.1).to_dict()
         wal = WriteAheadLog(serve_dir / WAL_NAME)
-        wal.append("submit", id="lead", kind=KIND, params=_params(),
-                   key=key, deadline=None, submitted_at=1.0)
-        wal.append("submit", id="tail", kind=KIND, params=_params(),
-                   key=key, deadline=None, submitted_at=2.0)
-        wal.append("coalesce", id="tail", into="lead")
-        wal.append("done", id="lead", result=result)
+        wal.append({"type": "submit", "id": "lead", "kind": KIND,
+                    "params": _params(), "key": key, "deadline": None,
+                    "submitted_at": 1.0})
+        wal.append({"type": "submit", "id": "tail", "kind": KIND,
+                    "params": _params(), "key": key, "deadline": None,
+                    "submitted_at": 2.0})
+        wal.append({"type": "coalesce", "id": "tail", "into": "lead"})
+        wal.append({"type": "done", "id": "lead", "result": result})
         wal.close()
 
         d = Daemon(_config(tmp_path))
@@ -206,6 +203,36 @@ class TestReplay:
         assert follower.done_event.is_set()
         assert follower.result["metrics"] == {"io": 42.0}
         assert len(d.queue) == 0  # nothing left to execute
+
+    def test_torn_done_record_is_truncated_before_replay_appends(self, tmp_path):
+        """Crash half-way through the first follower's done record: the
+        restarted daemon drops the torn line before it appends the
+        followers' done records, instead of gluing one onto it."""
+        serve_dir = tmp_path / "serve"
+        serve_dir.mkdir(parents=True)
+        key = point_key(KIND, _params())
+        result = RunResult(key=key, kind=KIND, params=_params(),
+                           metrics={"io": 42.0}, cached=False,
+                           wall_time_s=0.1).to_dict()
+        wal = WriteAheadLog(serve_dir / WAL_NAME)
+        for i, jid in enumerate(("lead", "f1", "f2")):
+            wal.append({"type": "submit", "id": jid, "kind": KIND,
+                        "params": _params(), "key": key, "deadline": None,
+                        "submitted_at": float(i)})
+        for jid in ("f1", "f2"):
+            wal.append({"type": "coalesce", "id": jid, "into": "lead"})
+        wal.append({"type": "done", "id": "lead", "result": result})
+        wal.close()
+        torn = encode({"type": "done", "id": "f1", "result": result})
+        with (serve_dir / WAL_NAME).open("ab") as fh:
+            fh.write(torn[: len(torn) // 2])
+
+        with pytest.warns(RuntimeWarning, match="truncated final line"):
+            d = Daemon(_config(tmp_path))
+        d._replay()
+        assert [d.lookup(jid).state for jid in ("f1", "f2")] == ["done", "done"]
+        ledger = fold_records(iter_records(serve_dir / WAL_NAME))
+        assert [ledger[jid]["status"] for jid in ("f1", "f2")] == ["done", "done"]
 
     def test_replay_compacts_the_log(self, tmp_path):
         d1 = Daemon(_config(tmp_path))

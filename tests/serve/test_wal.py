@@ -10,8 +10,8 @@ import warnings
 
 import pytest
 
-from repro.serve import WALError, WriteAheadLog, fold_records, iter_records
-from repro.serve.wal import _encode
+from repro.engine.wal import WALError, encode, iter_records
+from repro.serve.wal import WriteAheadLog, fold_records
 
 
 def _log(tmp_path, sync="always"):
@@ -21,8 +21,9 @@ def _log(tmp_path, sync="always"):
 class TestRecordFormat:
     def test_round_trip_in_append_order(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="a", kind="seq_io", params={"n": 8})
-        wal.append("done", id="a", result={"status": "ok"})
+        wal.append({"type": "submit", "id": "a", "kind": "seq_io",
+                    "params": {"n": 8}})
+        wal.append({"type": "done", "id": "a", "result": {"status": "ok"}})
         wal.close()
         records = list(iter_records(wal.path))
         assert [r["type"] for r in records] == ["submit", "done"]
@@ -30,15 +31,15 @@ class TestRecordFormat:
 
     def test_counters_track_appends(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="a")
-        wal.append("submit", id="b")
+        wal.append({"type": "submit", "id": "a"})
+        wal.append({"type": "submit", "id": "b"})
         assert wal.appended == 2
         wal.close()
         assert wal.bytes_written == wal.path.stat().st_size
 
     def test_every_line_is_checksummed(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="a")
+        wal.append({"type": "submit", "id": "a"})
         wal.close()
         raw = wal.path.read_bytes()
         assert raw[8:9] == b" "
@@ -52,7 +53,7 @@ class TestRecordFormat:
         wal = _log(tmp_path)
         wal.close()
         with pytest.raises(WALError, match="closed"):
-            wal.append("submit", id="a")
+            wal.append({"type": "submit", "id": "a"})
 
     def test_missing_file_yields_nothing(self, tmp_path):
         assert list(iter_records(tmp_path / "absent.wal")) == []
@@ -62,8 +63,8 @@ class TestCorruption:
     def test_torn_tail_skipped_silently(self, tmp_path):
         """A half-written final record is the one legal crash artifact."""
         wal = _log(tmp_path)
-        wal.append("submit", id="a")
-        wal.append("submit", id="b")
+        wal.append({"type": "submit", "id": "a"})
+        wal.append({"type": "submit", "id": "b"})
         wal.close()
         data = wal.path.read_bytes()
         wal.path.write_bytes(data[:-7])  # tear the last record mid-JSON
@@ -74,8 +75,8 @@ class TestCorruption:
 
     def test_midfile_corruption_raises_when_strict(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="a")
-        wal.append("submit", id="b")
+        wal.append({"type": "submit", "id": "a"})
+        wal.append({"type": "submit", "id": "b"})
         wal.close()
         lines = wal.path.read_bytes().splitlines(keepends=True)
         lines[0] = b"deadbeef " + lines[0][9:]  # valid shape, wrong checksum
@@ -85,8 +86,8 @@ class TestCorruption:
 
     def test_midfile_corruption_skipped_with_warning_when_lenient(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="a")
-        wal.append("submit", id="b")
+        wal.append({"type": "submit", "id": "a"})
+        wal.append({"type": "submit", "id": "b"})
         wal.close()
         lines = wal.path.read_bytes().splitlines(keepends=True)
         lines[0] = b"x" * 8 + lines[0][8:]
@@ -97,7 +98,7 @@ class TestCorruption:
 
     def test_malformed_midfile_line_raises(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="a")
+        wal.append({"type": "submit", "id": "a"})
         wal.close()
         wal.path.write_bytes(b"garbage\n" + wal.path.read_bytes())
         with pytest.raises(WALError, match="malformed"):
@@ -148,10 +149,10 @@ class TestFold:
 class TestCompact:
     def test_pending_jobs_survive_terminal_jobs_collapse(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="a", submitted_at=1.0)
-        wal.append("done", id="a", result={"status": "ok"})
-        wal.append("done", id="a", result={"status": "ok"})  # duplicate
-        wal.append("submit", id="b", submitted_at=2.0)
+        wal.append({"type": "submit", "id": "a", "submitted_at": 1.0})
+        wal.append({"type": "done", "id": "a", "result": {"status": "ok"}})
+        wal.append({"type": "done", "id": "a", "result": {"status": "ok"}})  # duplicate
+        wal.append({"type": "submit", "id": "b", "submitted_at": 2.0})
         written = wal.compact(wal.replay())
         assert written == 2
         ledger = wal.replay()
@@ -164,25 +165,25 @@ class TestCompact:
     def test_keep_terminal_drops_the_oldest(self, tmp_path):
         wal = _log(tmp_path)
         for i in range(5):
-            wal.append("submit", id=f"j{i}", submitted_at=float(i))
-            wal.append("done", id=f"j{i}", result={"status": "ok"})
+            wal.append({"type": "submit", "id": f"j{i}", "submitted_at": float(i)})
+            wal.append({"type": "done", "id": f"j{i}", "result": {"status": "ok"}})
         wal.compact(wal.replay(), keep_terminal=2)
         ledger = wal.replay()
         assert sorted(ledger) == ["j3", "j4"]
 
     def test_log_stays_usable_after_compact(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="a", submitted_at=1.0)
+        wal.append({"type": "submit", "id": "a", "submitted_at": 1.0})
         wal.compact(wal.replay())
-        wal.append("done", id="a", result={"status": "ok"})
+        wal.append({"type": "done", "id": "a", "result": {"status": "ok"}})
         wal.close()
         assert wal.replay()["a"]["status"] == "done"
 
     def test_coalesce_chain_preserved(self, tmp_path):
         wal = _log(tmp_path)
-        wal.append("submit", id="lead", submitted_at=1.0)
-        wal.append("submit", id="tail", submitted_at=2.0)
-        wal.append("coalesce", id="tail", into="lead")
+        wal.append({"type": "submit", "id": "lead", "submitted_at": 1.0})
+        wal.append({"type": "submit", "id": "tail", "submitted_at": 2.0})
+        wal.append({"type": "coalesce", "id": "tail", "into": "lead"})
         wal.compact(wal.replay())
         ledger = wal.replay()
         assert ledger["tail"]["coalesced_into"] == "lead"
@@ -192,12 +193,12 @@ class TestSyncModes:
     @pytest.mark.parametrize("sync", ["always", "batch", "off"])
     def test_all_modes_produce_identical_logs(self, tmp_path, sync):
         wal = WriteAheadLog(tmp_path / f"{sync}.wal", sync=sync)
-        wal.append("submit", id="a")
+        wal.append({"type": "submit", "id": "a"})
         wal.sync()
         wal.close()
         assert [r["id"] for r in iter_records(wal.path)] == ["a"]
 
     def test_encode_is_deterministic(self):
-        a = _encode({"type": "submit", "id": "a", "params": {"n": 8, "M": 48}})
-        b = _encode({"params": {"M": 48, "n": 8}, "id": "a", "type": "submit"})
+        a = encode({"type": "submit", "id": "a", "params": {"n": 8, "M": 48}})
+        b = encode({"params": {"M": 48, "n": 8}, "id": "a", "type": "submit"})
         assert a == b
