@@ -1,10 +1,13 @@
-"""Shared helpers for the benchmark/experiment harness.
+"""Shared helpers for the four BENCH writers.
 
-Every file in this directory regenerates one paper artifact (Table I, a
-figure, or a claim of Theorem 1.1/4.1) — see DESIGN.md's experiment index.
-Benches both time their core computation (pytest-benchmark) and *print* the
-regenerated rows/series; run with ``pytest benchmarks/ --benchmark-only -s``
-to see the full output, or plain ``--benchmark-only`` for timings.
+Each file here times one subsystem with pytest-benchmark and writes a
+``BENCH_*.json`` for its CI job: ``bench_kernels`` (LRU trace and replayed
+executions), ``bench_serving`` (the ``repro serve`` daemon), ``bench_hybrid``
+(fast/classical crossover) and ``bench_pebbling_schedulers`` (the schedule
+atlas, ``BENCH_atlas.json``). The paper's experiments are defined once, in
+``repro.analysis.reproduce``; see EXPERIMENTS.md. Run with
+``pytest benchmarks/ --benchmark-only -s`` to see the printed tables, or
+``--benchmark-disable`` as CI does.
 """
 
 from __future__ import annotations
@@ -16,19 +19,6 @@ import pytest
 def banner(title: str) -> str:
     line = "=" * max(30, len(title) + 4)
     return f"\n{line}\n  {title}\n{line}"
-
-
-def complete_sweep(res):
-    """Assert a fault-tolerant sweep finished with every point intact.
-
-    ``run_sweep`` returns partial results instead of raising, so a bench
-    that indexes ``res.measured`` positionally must refuse a sweep with
-    failures — a silently shrunken series would misalign every table row.
-    """
-    assert not res.failures, [
-        (r.status, r.params, (r.error or {}).get("message")) for r in res.failures
-    ]
-    return res
 
 
 @pytest.fixture(scope="session")

@@ -581,14 +581,14 @@ def _cmd_reproduce(_args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.engine.wal import WALError
     from repro.obs import build_report, render_report
 
+    # a missing dir, an invalid manifest or a corrupt results.jsonl line
+    # (WALError names the file and the record index): fail closed
     try:
         report = build_report(args.sweep_dir, top=args.top)
-    except FileNotFoundError as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # invalid manifest
+    except (FileNotFoundError, ValueError, WALError) as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -22,12 +22,19 @@ failure matrix these checks certify.
    the same ids.  Every job must be answered, the WAL must contain
    exactly one terminal record per job id (zero lost, zero duplicated),
    and a replayed answer must bit-match a fresh local execution.
+
+Each daemon runs in its own process group.  The kill takes the whole group
+(daemon, pool workers, resource tracker), as a host crash would, and
+stopping a daemon kills whatever is left of its group.  A drill starts
+clean: it removes the fault counters and the scenario serve directories
+an earlier drill left under the same ``--dir``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -43,6 +50,8 @@ from repro.serve.daemon import ENDPOINT_NAME, WAL_NAME
 __all__ = ["run_drill"]
 
 _STARTUP_TIMEOUT_S = 30.0
+# what a drill writes under its --dir; removed at the start of each drill
+_DRILL_DIRS = ("fault-counters", "backpressure", "breaker", "restart")
 
 
 def _point(M: int, n: int = 16) -> dict:
@@ -71,7 +80,8 @@ def _spawn_daemon(serve_dir: Path, *, python: str, extra_flags: list[str],
     else:
         env.pop(FAULTS_ENV, None)
     return subprocess.Popen(
-        cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,  # its own group: pool workers die with it
     )
 
 
@@ -93,6 +103,15 @@ def _connect(serve_dir: Path, proc: subprocess.Popen) -> ServeClient:
     raise RuntimeError("daemon did not become healthy in time")
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the daemon's whole process group and reap the daemon."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the group is already gone
+    proc.wait()
+
+
 def _stop(proc: subprocess.Popen, client: ServeClient | None = None) -> None:
     if client is not None:
         try:
@@ -105,8 +124,8 @@ def _stop(proc: subprocess.Popen, client: ServeClient | None = None) -> None:
         try:
             proc.wait(timeout=15)
         except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+            pass
+    _kill_group(proc)  # whatever outlived the daemon: workers, tracker
 
 
 # --------------------------------------------------------------------- #
@@ -216,8 +235,7 @@ def _drill_kill_restart(base: Path, python: str, checks: dict, details: dict,
         for jid in job_ids:
             client.point(**points[jid], job_id=jid)
         time.sleep(1.0)  # let some jobs finish, leave others in flight
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
+        _kill_group(proc)
         client.close()
 
         proc = _spawn_daemon(serve_dir, python=python, fault_plan=plan,
@@ -262,6 +280,8 @@ def run_drill(base_dir: str | Path, python: str = sys.executable) -> dict:
     """Run every scenario; returns ``{"ok", "checks", "details"}``."""
     base = Path(base_dir)
     base.mkdir(parents=True, exist_ok=True)
+    for name in _DRILL_DIRS:  # spent fault counters, an old run's WALs
+        shutil.rmtree(base / name, ignore_errors=True)
     faults_dir = base / "fault-counters"
     checks: dict[str, bool] = {}
     details: dict = {}

@@ -46,7 +46,9 @@ class TestReuseCounts:
     """The §IV ladder: the reproduction's headline arithmetic numbers."""
 
     def test_strassen_18(self, strassen_alg):
-        assert additions_with_reuse(strassen_alg)["total"] == 18
+        counts = additions_with_reuse(strassen_alg)
+        assert counts["total"] == 18
+        assert counts["leading_coefficient"] == pytest.approx(7.0)
 
     def test_winograd_15(self, winograd_alg):
         counts = additions_with_reuse(winograd_alg)

@@ -19,6 +19,7 @@ class TestBaseCase:
     def test_base_tree_fan_in(self, winograd_alg):
         base = base_case_cdag(winograd_alg, style="tree")
         assert base.max_fan_in() <= 2
+        assert len(base.outputs) == 4
 
     def test_mult_vertices_have_two_preds(self, strassen_alg):
         base = base_case_cdag(strassen_alg)

@@ -168,9 +168,12 @@ class TestRunSweep:
         assert res.parameter == "n"
 
     def test_parameter_selection(self):
-        points = [seq_io_point("strassen", 16, m) for m in (12, 48)]
+        """I/O vs M at n = 64: the M^{1−ω₀/2} decay of the fast bound."""
+        points = [seq_io_point("strassen", 64, m) for m in (12, 48, 192, 768)]
         res = run_sweep(points, EngineConfig(), parameter="M")
-        assert res.values == [12.0, 48.0]
+        assert res.values == [12.0, 48.0, 192.0, 768.0]
+        assert res.measured == sorted(res.measured, reverse=True)
+        assert all(p.measured >= p.bound for p in res.points)
 
     def test_jsonl_output(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.basis.transform import recursive_basis_transform
+from repro.bounds.formulas import fast_sequential
 from repro.execution.abmm_exec import execute_abmm, machine_basis_transform
 from repro.machine.sequential import SequentialMachine
 
@@ -54,6 +55,7 @@ class TestABMMExecution:
         C, phases = execute_abmm(m, ks_alg, A, B)
         assert np.allclose(C, A @ B)
         assert phases["io_total"] == pytest.approx(m.io_operations)
+        assert phases["io_total"] >= fast_sequential(n, M)
 
     def test_phase_split_sums(self, ks_alg, rng):
         m = SequentialMachine(192)
@@ -83,6 +85,7 @@ class TestABMMExecution:
         m_w = SequentialMachine(M)
         execute_recursive_bilinear(m_w, winograd_alg, A, B)
         assert p["io_bilinear"] < m_w.io_operations
+        assert p["io_total"] < m_w.io_operations  # transforms included
 
     def test_too_small_memory_raises(self, ks_alg, rng):
         m = SequentialMachine(2)

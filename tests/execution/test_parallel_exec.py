@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bounds.formulas import fast_memory_independent
+from repro.bounds.formulas import classical_memory_independent, fast_memory_independent
 from repro.execution.parallel_classical import parallel_classical_summa
 from repro.execution.parallel_strassen import execute_parallel_bfs
 from repro.machine.parallel import BSPMachine
@@ -43,6 +43,7 @@ class TestSUMMA:
             m = BSPMachine(P)
             parallel_classical_summa(m, rng.standard_normal((n, n)), rng.standard_normal((n, n)))
             per_proc.append(m.max_io_per_processor)
+            assert per_proc[-1] >= classical_memory_independent(n, P) / 8
         assert per_proc[1] < per_proc[0]
 
 

@@ -112,6 +112,26 @@ class TestRecursiveExecution:
         execute_recursive_bilinear(m8, classical_alg, A, B)
         assert m8.io_operations > m7.io_operations
 
+    def test_general_base_cases_track_omega0(self, strassen_alg, classical_alg, rng):
+        """Table I row 4 with d = 4 base cases built by tensor products:
+        ⟨4,4,4;49⟩ (ω₀ = log₂7) measures a smaller exponent than
+        ⟨4,4,4;56⟩ (ω₀ ≈ 2.90), and both multiply exactly."""
+        from repro.algorithms.tensor import tensor_power, tensor_product
+        from repro.bounds.validation import fit_exponent
+
+        sizes, M = (16, 64), 96
+        fitted = []
+        for alg in (tensor_power(strassen_alg, 2), tensor_product(strassen_alg, classical_alg)):
+            ios = []
+            for n in sizes:
+                A = rng.standard_normal((n, n))
+                B = rng.standard_normal((n, n))
+                m = SequentialMachine(M)
+                assert np.allclose(execute_recursive_bilinear(m, alg, A, B), A @ B)
+                ios.append(m.io_operations)
+            fitted.append(fit_exponent(sizes, ios))
+        assert fitted[0] < fitted[1]
+
     def test_base_size_cap_forces_deeper_recursion(self, strassen_alg, rng):
         n, M = 16, 10_000
         A = rng.standard_normal((n, n))

@@ -203,3 +203,28 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "15/15 experiments reproduced" in out
         assert "FAIL" not in out
+
+
+class TestReportCommand:
+    def test_corrupt_sweep_log_exits_2_with_one_line(self, tmp_path, capsys):
+        """A flipped ``io`` digit mid-file fails closed: exit 2 and one
+        ``report:`` line naming the file and the record, no traceback."""
+        import re
+
+        sweep_dir = tmp_path / "sweep"
+        assert main(["sweep", "16", "32", "64", "--M", "48",
+                     "--sweep-dir", str(sweep_dir)]) == 0
+        stream = sweep_dir / "results.jsonl"
+        lines = stream.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        digit = re.search(r'"io": ?(\d)', lines[1])
+        flipped = "3" if digit.group(1) == "2" else "2"
+        lines[1] = lines[1][: digit.start(1)] + flipped + lines[1][digit.end(1):]
+        stream.write_text("".join(lines))
+        capsys.readouterr()
+
+        assert main(["report", str(sweep_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("report: ")
+        assert str(stream) in err[0] and "at record 1" in err[0]

@@ -1,5 +1,6 @@
 """Tests for the dominator/path lemmas (3.7, 3.10, 3.11)."""
 
+import numpy as np
 import pytest
 
 from repro.cdag.recursive import build_recursive_cdag
@@ -126,3 +127,19 @@ class TestLemma311:
         inst = lemma311_instance(H4, 2, Z, [g[0] for g in gamma])
         assert inst.floor == 0.0
         assert inst.holds
+
+    def test_figure3_instance_h8(self, H8):
+        """Figure 3's construction: Z = two whole size-2 subproblems,
+        Γ = one multiplication vertex."""
+        Z = H8.sub_outputs[2][0] + H8.sub_outputs[2][1]
+        assert lemma311_instance(H8, 2, Z, [H8.sub_outputs[1][0][0]]).holds
+
+    @pytest.mark.parametrize("g_size", [0, 2, 4, 6, 8])
+    def test_slack_as_gamma_grows_h8(self, H8, g_size):
+        """|Z| = 16 fixed; the path count clears the floor as |Γ| → |Z|/2."""
+        Z = [out for sub in H8.sub_outputs[2][:4] for out in sub]
+        mult_pool = [m[0] for m in H8.sub_outputs[1]]
+        rng = np.random.default_rng(g_size)
+        gamma = list(rng.choice(mult_pool, size=g_size, replace=False))
+        inst = lemma311_instance(H8, 2, Z, gamma)
+        assert inst.disjoint_paths >= inst.floor

@@ -11,6 +11,7 @@ class TestMemoryIndependentAudit:
         audit = check_memory_independent(strassen_alg, n, P)
         assert audit.premise_exact     # each proc computes exactly r² outputs
         assert audit.shape_holds       # comm within a constant of n²/P^{2/ω₀}
+        assert audit.floor_holds       # comm clears the Lemma 3.6 floor
 
     def test_positive_floor_case(self, strassen_alg):
         """At P = 343 the Lemma 3.6 floor r²/2 − 2n²/P turns positive and

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs.manifest import MANIFEST_SCHEMA
+from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest, validate_manifest
 from repro.obs.report import build_report, load_sweep_runs, render_report
 
 GOLDEN = Path(__file__).with_name("golden_report.md")
@@ -338,6 +338,7 @@ class TestEndToEnd:
         config = EngineConfig(cache_dir=tmp_path / "cache", sweep_dir=sweep_dir)
         run_sweep(points, config)
 
+        assert validate_manifest(RunManifest.load(sweep_dir / "manifest.json")) == []
         report = build_report(sweep_dir)
         assert report["cache"] == {
             "hits": 0, "misses": 6, "corrupt": 0, "hit_rate": 0.0

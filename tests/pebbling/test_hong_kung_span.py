@@ -78,9 +78,9 @@ class TestSpan:
         assert s_span(c, 2) == 5
 
     def test_span_monotone_in_s(self):
-        c = binary_tree_cdag(3)
-        spans = [s_span(c, S, max_vertices=15) for S in (3, 5, 8)]
-        assert spans == sorted(spans)
+        for c in (binary_tree_cdag(3), diamond_chain_cdag(3), recompute_wins_cdag(1, 2)):
+            spans = [s_span(c, S, max_vertices=15) for S in (3, 5, 8)]
+            assert spans == sorted(spans), c.name
 
     def test_span_capacity_starvation(self):
         """S below fan-in+1: no internal vertex is computable ⇒ span 0."""
@@ -110,3 +110,14 @@ class TestSpan:
         hk = hong_kung_lower_bound(tree, 2)
         # on the reduction tree the span bound is the stronger one
         assert sv >= hk
+
+    def test_floors_below_optimum_on_strassen_slice(self, strassen_alg):
+        """On the slice of Strassen's base CDAG that computes C12, both
+        generic floors stay below the exact optimum."""
+        from repro.cdag import base_case_cdag
+
+        base = base_case_cdag(strassen_alg, style="tree")
+        piece = base.ancestor_closure([base.outputs[1]])
+        opt = optimal_io(piece, 4)
+        assert hong_kung_lower_bound(piece, 2) <= opt
+        assert savage_lower_bound(piece, 2, max_vertices=15) <= opt

@@ -96,10 +96,12 @@ class TestRecomputationComparison:
 
     def test_gadget_gap_grows_under_nvm_costs(self):
         c = recompute_wins_cdag(1, 2)
+        symmetric = optimal_io(c, 3, False) - optimal_io(c, 3, True)
         for omega in (2.0, 4.0):
             cost = PebbleCost(read_cost=1.0, write_cost=omega)
             gap = optimal_io(c, 3, False, cost) - optimal_io(c, 3, True, cost)
             assert gap >= omega  # the saved store costs ω
+        assert gap > symmetric
 
     def test_gadget_no_gap_with_big_cache(self):
         c = recompute_wins_cdag(1, 2)
@@ -115,6 +117,17 @@ class TestRecomputationComparison:
     def test_diamond_gain_nothing_with_room(self):
         c = diamond_chain_cdag(3)
         assert optimal_io(c, 4, True) == optimal_io(c, 4, False)
+
+    @pytest.mark.parametrize("output_index,M", [(1, 5), (2, 4), (2, 5)])
+    def test_strassen_slices_gain_nothing(self, strassen_alg, output_index, M):
+        """The title claim at base-case scale: on the slices of Strassen's
+        base CDAG computing C12 and C21, recomputation buys no I/O (C12 at
+        M = 4 is experiment E7)."""
+        from repro.cdag import base_case_cdag
+
+        base = base_case_cdag(strassen_alg, style="tree")
+        piece = base.ancestor_closure([base.outputs[output_index]])
+        assert optimal_io(piece, M, True) == optimal_io(piece, M, False)
 
 
 class TestAgainstHeuristic:
