@@ -30,16 +30,16 @@ serve-drill             chaos-certify a daemon: backpressure, breaker,
 
 ``table1``, ``eval``, ``sweep``, and ``report`` accept ``--json`` for
 machine-readable output; ``sweep`` and ``recompute`` run through
-:mod:`repro.engine`, so ``--workers``, ``--cache-dir``, ``--jsonl``,
+:mod:`repro.engine`, so ``--workers``, ``--cache-dir``,
 ``--sweep-dir``, ``--profile``, and the fault-tolerance flags
 ``--timeout`` / ``--retries`` / ``--fail-fast`` / ``--keep-going``
 are available there.  When points permanently fail, the sweep still
 completes (keep-going is the default), survivors are printed/streamed,
 and the exit code is non-zero with a failure summary on stderr.
 
-``--sweep-dir DIR`` makes a sweep observable: the JSONL checkpoint, an
-incremental ``manifest.json``, and any ``--profile`` artifacts all land
-in DIR, which ``repro report DIR`` then renders (see
+``--sweep-dir DIR`` makes a sweep observable: the checkpoint log
+``results.jsonl``, an incremental ``manifest.json``, and any ``--profile``
+artifacts all land in DIR, which ``repro report DIR`` then renders (see
 ``docs/observability.md``).
 
 ``sweep``, ``eval``, and ``falsify`` accept ``--backend
@@ -194,7 +194,6 @@ def _engine_config(args):
     return EngineConfig(
         workers=getattr(args, "workers", 0),
         cache_dir=getattr(args, "cache_dir", None),
-        jsonl_path=getattr(args, "jsonl", None),
         point_timeout_s=getattr(args, "timeout", None),
         max_retries=getattr(args, "retries", 0),
         fail_fast=getattr(args, "fail_fast", False),
@@ -716,7 +715,7 @@ def _engine_parent() -> argparse.ArgumentParser:
              "profiles/ (consumed by `repro report DIR`)",
     )
     parent.add_argument(
-        "--profile", choices=["off", "wall", "cprofile", "tracemalloc"],
+        "--profile", choices=["off", "cprofile", "tracemalloc"],
         default="off",
         help="per-point profiling artifacts under DIR/profiles "
              "(requires --sweep-dir)",
@@ -797,8 +796,6 @@ def main(argv: list[str] | None = None) -> int:
              "or any corpus entry from `repro zoo list`",
     )
     p_sweep.add_argument("--json", action="store_true", help="machine-readable output")
-    p_sweep.add_argument("--jsonl", default=None,
-                         help="append RunResults as CRC32-prefixed JSON lines")
     p_sweep.add_argument(
         "--no-replay",
         action="store_true",
@@ -961,8 +958,6 @@ def main(argv: list[str] | None = None) -> int:
         help="classical leaf scheme for --hybrid sweeps",
     )
     p_zs.add_argument("--json", action="store_true", help="machine-readable output")
-    p_zs.add_argument("--jsonl", default=None,
-                      help="append RunResults as CRC32-prefixed JSON lines")
     p_zs.set_defaults(fn=_cmd_zoo_sweep)
 
     p_falsify = sub.add_parser(

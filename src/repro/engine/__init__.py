@@ -11,7 +11,6 @@ that property into infrastructure:
 * :mod:`repro.engine.keys` — content-addressed cache keys over
   (kind, params, code version, schema);
 * :mod:`repro.engine.cache` — the atomic on-disk JSON store;
-* :mod:`repro.engine.trace` — the structured engine-event stream;
 * :mod:`repro.engine.core` — :func:`run_point` / :func:`run_sweep` with
   the :class:`EngineConfig`-controlled process-pool fan-out, per-point
   timeouts, retries, pool recovery, and incremental checkpointing;
@@ -63,7 +62,6 @@ from repro.engine.runners import (
     hybrid_point,
     seq_io_point,
 )
-from repro.engine.trace import TraceEvent, Tracer
 
 __all__ = [
     "EngineConfig",
@@ -87,8 +85,6 @@ __all__ = [
     "pebble_search_point",
     "segment_audit_point",
     "lru_trace_point",
-    "TraceEvent",
-    "Tracer",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",

@@ -9,8 +9,8 @@ Writes are atomic (:func:`repro.engine.wal.atomic_write`) so a crashed or
 concurrent sweep can never leave a truncated entry behind.  A corrupt entry
 still reads as a miss, but it is never silently discarded: :meth:`ResultCache.get`
 moves it to ``<cache_dir>/quarantine/`` for post-mortem inspection and
-reports it through the ``on_corrupt`` callback (the engine forwards that
-as an ``engine.cache.corrupt`` trace event).  :meth:`ResultCache.verify`
+reports it through the ``on_corrupt`` callback (the engine counts it as
+the ``engine.cache.corrupt`` metric).  :meth:`ResultCache.verify`
 scans every shard for corrupt entries and orphaned ``.tmp`` files —
 exposed on the command line as ``repro cache verify`` (``--repair``
 quarantines the corrupt entries and prunes the orphans via

@@ -22,7 +22,7 @@ points, so the engine can
   ``max_retries``;
 * re-queue every in-flight point of a broken pool (a worker died) on a
   fresh pool — degrading to serial in-process execution after more than
-  ``max_pool_rebuilds`` unexpected breaks instead of aborting;
+  :data:`MAX_POOL_REBUILDS` unexpected breaks instead of aborting;
 * checkpoint incrementally: every completed point is cached and appended
   to the checksummed result log *as it finishes*, so an aborted sweep
   resumes from cache with zero recomputation.
@@ -52,7 +52,6 @@ from repro.analysis.results import RunResult, SweepPoint, SweepResult
 from repro.engine.cache import ResultCache
 from repro.engine.pool import CircuitBreaker, Supervisor
 from repro.engine.runners import PRIMARY_METRIC, ExperimentPoint, execute_point
-from repro.engine.trace import Tracer
 from repro.engine.wal import RecordLog, iter_records
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
@@ -71,6 +70,16 @@ __all__ = [
 #: experiment parameters: retry timing is provenance, never a result, so
 #: randomizing it cannot perturb any counted quantity.
 _JITTER_RNG = random.Random()
+
+#: Base of the exponential backoff between retries of one point; the
+#: actual delay is full-jittered by :func:`retry_delay_s`, so a mass
+#: re-queue after a pool rebuild does not retry in lockstep.
+RETRY_BACKOFF_S = 0.05
+
+#: How many *unexpected* pool breaks (worker death) a sweep repairs before
+#: degrading the rest of it to serial in-process execution (a timeout kill
+#: is not a break).
+MAX_POOL_REBUILDS = 2
 
 
 def retry_delay_s(
@@ -101,80 +110,60 @@ def retry_delay_s(
 
 @dataclass
 class EngineConfig:
-    """How the engine executes: parallelism, cache, trace, output, recovery.
+    """How the engine executes: parallelism, cache, output, recovery.
 
     workers:
         Process-pool width; 0 or 1 runs serially in-process.
     cache_dir:
         Directory for the persistent result cache; None disables caching.
-    tracer:
-        Optional :class:`~repro.engine.trace.Tracer` receiving engine
-        events (``engine.point.start/done/retry/timeout/error``,
-        ``engine.cache.hit/miss/corrupt``, ``engine.pool.broken/degraded``).
-    jsonl_path:
-        When set, every :class:`RunResult` of a sweep is appended as one
-        checksummed record (:mod:`repro.engine.wal`) *as it completes* —
-        the incremental checkpoint stream, consumable by
-        :func:`repro.analysis.fitting.sweep_from_jsonl`.
     point_timeout_s:
         Per-point wall-clock limit.  Only enforceable with ``workers > 1``
         (an in-process point cannot be killed); a point that exceeds it is
         marked ``timeout`` and its worker is terminated.
     max_retries:
         How many times a failed (error or timeout) point is re-queued
-        before it is recorded as a permanent failure.
-    retry_backoff_s:
-        Base of the exponential backoff between retries of one point.
-        The actual delay is *full-jittered*: uniform in
-        ``[0, min(30 s, base * 2**(attempt-1))]`` — see
-        :func:`retry_delay_s` — so a mass re-queue after a pool rebuild
-        does not retry in lockstep.
-    max_pool_rebuilds:
-        How many *unexpected* pool breaks (worker death) to repair before
-        degrading the rest of the sweep to serial in-process execution
-        (a timeout kill is not a break).
+        before it is recorded as a permanent failure (backoff:
+        :data:`RETRY_BACKOFF_S`).
     fail_fast:
         Stop dispatching after the first permanent failure; remaining
         points are recorded as ``skipped``.  Default is keep-going.
     sweep_dir:
         An observability directory for the sweep.  When set, the engine
-        writes ``results.jsonl`` there (unless ``jsonl_path`` overrides
-        it), a ``manifest.json`` at start and end whose ledger is folded
-        from that stream on load, and profiling artifacts under
-        ``profiles/``.  This is the directory ``repro report`` consumes.
+        appends every :class:`RunResult` to ``results.jsonl`` there as one
+        checksummed record (:mod:`repro.engine.wal`) *as it completes* —
+        the incremental checkpoint stream, consumable by
+        :func:`repro.analysis.fitting.sweep_from_jsonl` — and writes a
+        ``manifest.json`` at start and end whose ledger is folded from
+        that stream on load, and profiling artifacts under ``profiles/``.
+        This is the directory ``repro report`` consumes.
     profile:
         Per-point profiling mode — one of
-        :data:`~repro.obs.profile.PROFILE_MODES` ("off", "wall",
-        "cprofile", "tracemalloc").  Any mode but "off" requires a
-        ``sweep_dir`` (artifacts need a home); profiling never touches
-        the deterministic trace.
+        :data:`~repro.obs.profile.PROFILE_MODES` ("off", "cprofile",
+        "tracemalloc").  Any mode but "off" requires a ``sweep_dir``
+        (artifacts need a home); profiling never touches the
+        deterministic trace.
     cache_max_bytes:
         Size budget for the result cache; least-recently-used entries
         are evicted when a write pushes the cache over it (None = no
         budget).  Long-lived consumers — the serve daemon above all —
         must set this or the cache grows without bound.
-    handle_signals:
-        Drain gracefully on SIGTERM/SIGINT (main thread only): stop
-        dispatching, mark the in-flight and queued points ``skipped``,
-        flush the result log and the manifest, and return the
-        partial :class:`SweepResult` (``stats["interrupted"] = 1``)
-        instead of dying mid-write.  A second signal falls through to
-        the previous handler.
+
+    A sweep run from the main thread drains gracefully on SIGTERM/SIGINT:
+    it stops dispatching, marks the in-flight and queued points
+    ``skipped``, flushes the result log and the manifest, and returns the
+    partial :class:`SweepResult` (``stats["interrupted"] = 1``) instead of
+    dying mid-write.  A second signal falls through to the previous
+    handler.
     """
 
     workers: int = 0
     cache_dir: str | Path | None = None
-    tracer: Tracer | None = None
-    jsonl_path: str | Path | None = None
     point_timeout_s: float | None = None
     max_retries: int = 0
-    retry_backoff_s: float = 0.05
-    max_pool_rebuilds: int = 2
     fail_fast: bool = False
     sweep_dir: str | Path | None = None
     profile: str = "off"
     cache_max_bytes: int | None = None
-    handle_signals: bool = True
 
     def __post_init__(self) -> None:
         if self.profile not in PROFILE_MODES:
@@ -189,30 +178,16 @@ class EngineConfig:
     def open_cache(self, registry: MetricsRegistry | None = None) -> ResultCache | None:
         if self.cache_dir is None:
             return None
-
-        def note(event: str, key: str, **payload) -> None:
-            if registry is not None:
-                registry.inc(event)
-            _emit(self, event, key=key, **payload)
-
+        if registry is None:
+            return ResultCache(self.cache_dir, max_bytes=self.cache_max_bytes)
         return ResultCache(
             self.cache_dir,
-            on_corrupt=lambda key, quarantined: note(
-                "engine.cache.corrupt", key, quarantined=str(quarantined)),
+            on_corrupt=lambda key, quarantined: registry.inc("engine.cache.corrupt"),
             max_bytes=self.cache_max_bytes,
-            on_evict=lambda key: note("engine.cache.evicted", key),
+            on_evict=lambda key: registry.inc("engine.cache.evicted"),
         )
 
     # -- observability plumbing ----------------------------------------- #
-    def resolved_jsonl_path(self) -> Path | None:
-        """The checkpoint stream destination: explicit path, or the sweep
-        directory's ``results.jsonl``, or None (no checkpointing)."""
-        if self.jsonl_path is not None:
-            return Path(self.jsonl_path)
-        if self.sweep_dir is not None:
-            return Path(self.sweep_dir) / "results.jsonl"
-        return None
-
     def profile_spec(self, key: str) -> dict | None:
         """The picklable per-point profiling spec (None when off)."""
         if self.profile == "off":
@@ -225,25 +200,16 @@ class EngineConfig:
 
     def public_dict(self) -> dict:
         """JSON-safe execution-shaping fields (the manifest's ``config``)."""
-        jsonl_path = self.resolved_jsonl_path()
         return {
             "workers": self.workers,
             "cache_dir": None if self.cache_dir is None else str(self.cache_dir),
-            "jsonl_path": None if jsonl_path is None else str(jsonl_path),
             "sweep_dir": None if self.sweep_dir is None else str(self.sweep_dir),
             "profile": self.profile,
             "point_timeout_s": self.point_timeout_s,
             "max_retries": self.max_retries,
-            "retry_backoff_s": self.retry_backoff_s,
-            "max_pool_rebuilds": self.max_pool_rebuilds,
             "fail_fast": self.fail_fast,
             "cache_max_bytes": self.cache_max_bytes,
         }
-
-
-def _emit(config: EngineConfig, event: str, **payload) -> None:
-    if config.tracer is not None:
-        config.tracer.emit(event, **payload)
 
 
 def _finish(
@@ -276,22 +242,14 @@ def run_point(
     config = config or EngineConfig()
     cache = config.open_cache()
     key = point.key
-    _emit(config, "engine.point.start", key=key, point_kind=point.kind)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
-            _emit(config, "engine.cache.hit", key=key)
-            result = _finish(
-                point, key, hit["metrics"], hit.get("trace", {}), True, 0.0
-            )
-            _emit(config, "engine.point.done", key=key, cached=True, wall_time_s=0.0)
-            return result
-        _emit(config, "engine.cache.miss", key=key)
+            return _finish(point, key, hit["metrics"], hit.get("trace", {}), True, 0.0)
     metrics, trace, wall = execute_point(point.to_dict(), config.profile_spec(key))
     if cache is not None:
         cache.put(key, {"kind": point.kind, "params": point.params,
                         "metrics": metrics, "trace": trace})
-    _emit(config, "engine.point.done", key=key, cached=False, wall_time_s=wall)
     return _finish(point, key, metrics, trace, False, wall)
 
 
@@ -359,9 +317,6 @@ class _SweepRunner:
         )
 
     # -- checkpointing ------------------------------------------------- #
-    def _emit(self, event: str, **payload) -> None:
-        _emit(self.config, event, **payload)
-
     def _count(self, name: str) -> int:
         return int(self.metrics.value(name))
 
@@ -384,7 +339,6 @@ class _SweepRunner:
                                       "metrics": metrics, "trace": trace})
         self.metrics.observe("engine.point.wall_ms", int(wall * 1000))
         self._record(task.index, _finish(task.point, task.key, metrics, trace, False, wall))
-        self._emit("engine.point.done", key=task.key, cached=False, wall_time_s=wall)
 
     # -- failure taxonomy ---------------------------------------------- #
     def _fail_attempt(self, task: _Task, kind: str, exc: BaseException | None) -> bool:
@@ -396,8 +350,6 @@ class _SweepRunner:
                 "traceback": "",
             }
             self.metrics.inc("engine.timeouts")
-            self._emit("engine.point.timeout", key=task.key, attempt=task.attempts,
-                       timeout_s=self.config.point_timeout_s)
         else:
             detail = {
                 "type": type(exc).__name__,
@@ -406,15 +358,11 @@ class _SweepRunner:
             }
             self.metrics.inc("engine.errors")
             self.metrics.inc(f"engine.errors.by_type.{detail['type']}")
-            self._emit("engine.point.error", key=task.key, attempt=task.attempts,
-                       error=detail["type"], message=detail["message"])
         task.errors.append(detail)
         if task.attempts <= self.config.max_retries and not self.stop:
-            backoff = retry_delay_s(self.config.retry_backoff_s, task.attempts)
-            task.not_before = time.perf_counter() + backoff
+            task.not_before = time.perf_counter() + retry_delay_s(
+                RETRY_BACKOFF_S, task.attempts)
             self.metrics.inc("engine.retries")
-            self._emit("engine.point.retry", key=task.key, attempt=task.attempts,
-                       backoff_s=backoff, reason=kind)
             return True
         self._fail_permanently(task, "timeout" if kind == "timeout" else "error")
         return False
@@ -464,8 +412,6 @@ class _SweepRunner:
         previous handlers, so a second signal behaves as if the engine
         had never intervened (normally: process death).
         """
-        if not self.config.handle_signals:
-            return None
         if threading.current_thread() is not threading.main_thread():
             return None
         previous: dict = {}
@@ -473,7 +419,6 @@ class _SweepRunner:
         def _interrupt(signum, frame):
             self.interrupted = True
             self.stop = True
-            self._emit("engine.sweep.interrupted", signum=signum)
             self._restore_signal_handlers(previous)
 
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -541,9 +486,9 @@ class _SweepRunner:
     def _run_pooled(self, tasks: deque) -> None:
         cfg = self.config
         # the sweep's degrade rule: serial for good after more than
-        # max_pool_rebuilds unexpected breaks in total
+        # MAX_POOL_REBUILDS unexpected breaks in total
         pool = Supervisor(cfg.workers, registry=self.metrics, gate=CircuitBreaker(
-            max(1, cfg.max_pool_rebuilds + 1), math.inf, consecutive=False,
+            max(1, MAX_POOL_REBUILDS + 1), math.inf, consecutive=False,
         ))
         in_flight: dict[Future, _Task] = {}
         clean = False
@@ -592,11 +537,8 @@ class _SweepRunner:
 
                 if broken:
                     self._requeue_victims(in_flight, tasks)
-                    breaks = self._count("engine.pool.broken")
-                    self._emit("engine.pool.broken", breaks=breaks)
                     if not pool.gate.allow():
                         self.degraded = True
-                        self._emit("engine.pool.degraded", breaks=breaks)
                         self._run_serial(tasks)
                         return
                     continue
@@ -630,10 +572,9 @@ class _SweepRunner:
     def run(self) -> SweepResult:
         cfg = self.config
         t_start = time.perf_counter()
-        jsonl_path = cfg.resolved_jsonl_path()
-        if jsonl_path is not None:
+        if cfg.sweep_dir is not None:
             # flushed per record, never fsync'd: a point is cheap to redo
-            self._log = RecordLog(jsonl_path, sync="off")
+            self._log = RecordLog(Path(cfg.sweep_dir) / "results.jsonl", sync="off")
         if self.manifest is not None:
             self.manifest.start(cfg.public_dict(), self.parameter, self.points)
         previous_handlers = self._install_signal_handlers()
@@ -641,20 +582,15 @@ class _SweepRunner:
             tasks: deque[_Task] = deque()
             for i, point in enumerate(self.points):
                 key = point.key
-                self._emit("engine.point.start", key=key, point_kind=point.kind)
                 hit = self.cache.get(key) if self.cache is not None else None
                 if hit is not None:
                     self.metrics.inc("engine.cache.hits")
-                    self._emit("engine.cache.hit", key=key)
                     self._record(i, _finish(
                         point, key, hit["metrics"], hit.get("trace", {}), True, 0.0
                     ))
-                    self._emit("engine.point.done", key=key, cached=True,
-                               wall_time_s=0.0)
                 else:
                     if self.cache is not None:
                         self.metrics.inc("engine.cache.misses")
-                        self._emit("engine.cache.miss", key=key)
                     tasks.append(_Task(index=i, point=point, key=key))
 
             if tasks:

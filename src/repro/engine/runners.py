@@ -756,15 +756,12 @@ def execute_point(spec: dict, profile: dict | None = None) -> tuple[dict, dict, 
     if missing:
         raise ValueError(f"{kind} point is missing param(s) {missing}")
     t0 = time.perf_counter()
-    with profile_point(profile) as prof:
-        try:
-            injected = apply_fault(spec)
-            if injected is not None:
-                metrics, trace = injected
-            else:
-                with collecting() as registry:
-                    metrics = _EXECUTORS[kind](spec["params"])
-                trace = {"metrics": registry.to_dict()}
-        finally:
-            prof["wall_time_s"] = time.perf_counter() - t0
+    with profile_point(profile):
+        injected = apply_fault(spec)
+        if injected is not None:
+            metrics, trace = injected
+        else:
+            with collecting() as registry:
+                metrics = _EXECUTORS[kind](spec["params"])
+            trace = {"metrics": registry.to_dict()}
     return metrics, trace, time.perf_counter() - t0

@@ -16,7 +16,7 @@ single place those counters flow through:
   version, config, host, git SHA, sweep-level metrics, and a per-point
   status ledger folded from the JSONL checkpoint on load).
 * :mod:`repro.obs.profile` — per-point profiling artifacts
-  (``EngineConfig.profile = "off" | "wall" | "cprofile" | "tracemalloc"``)
+  (``EngineConfig.profile = "off" | "cprofile" | "tracemalloc"``)
   written next to the JSONL checkpoint.
 * :mod:`repro.obs.report` — the ``repro report <sweep-dir>`` dashboard:
   measured-vs-bound table, exponent fit, cache and LRU statistics,

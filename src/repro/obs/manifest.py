@@ -3,12 +3,12 @@
 ``_SweepRunner`` writes it atomically at start — the header and a
 ``pending`` row per point — and at end or drain, adding the stats and the
 sweep-level metrics snapshot.  The per-point ledger lives in the
-checksummed :mod:`repro.engine.wal` log (``config["jsonl_path"]``, by
-default ``results.jsonl``): :meth:`RunManifest.load` folds it over the
-rows, the last record per key winning, as ``serve.wal.fold_records``
-folds the WAL.  So even a killed sweep's directory is
-resumable-by-inspection: the ledger says which points are ``ok`` (served
-from cache on re-run) and which still owe an execution.
+checksummed :mod:`repro.engine.wal` log ``results.jsonl`` beside the
+manifest: :meth:`RunManifest.load` folds it over the rows, the last record
+per key winning, as ``serve.wal.fold_records`` folds the WAL.  So even a
+killed sweep's directory is resumable-by-inspection: the ledger says which
+points are ``ok`` (served from cache on re-run) and which still owe an
+execution.
 
 Schema (``MANIFEST_SCHEMA``)::
 
@@ -161,8 +161,8 @@ class RunManifest:
     @staticmethod
     def load(path: str | Path) -> dict:
         """Read and validate a manifest (ValueError when invalid), folding
-        its sweep's checkpoint stream into the ledger rows it already has
-        (an explicit ``jsonl_path`` may be shared by several sweeps)."""
+        the ``results.jsonl`` beside it into the ledger rows it already
+        has (so a moved or copied sweep dir folds its own log)."""
         from repro.engine.core import load_results_jsonl
 
         path = Path(path)
@@ -172,10 +172,7 @@ class RunManifest:
             raise ValueError(
                 f"{path}: invalid sweep manifest: " + "; ".join(problems)
             )
-        config, own = data["config"], path.parent / "results.jsonl"
-        stream = Path(config.get("jsonl_path") or own)
-        if stream == Path(config.get("sweep_dir") or path.parent) / own.name:
-            stream = own  # a moved or copied sweep dir folds its own log
+        stream = path.parent / "results.jsonl"
         if stream.is_file():
             points = data["points"]
             for run in load_results_jsonl(stream):

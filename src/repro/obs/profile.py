@@ -1,13 +1,9 @@
 """Per-point profiling artifacts (``EngineConfig.profile``).
 
-Four modes:
+Three modes:
 
 ``off``
     No instrumentation, no artifacts (the default).
-``wall``
-    One tiny JSON file per point recording the measured wall time — the
-    cheapest mode, useful to make a sweep directory self-profiling
-    without touching the execution.
 ``cprofile``
     The point runs under :mod:`cProfile`; the binary stats land in
     ``profiles/<key>.pstats`` (load with :mod:`pstats`).
@@ -18,24 +14,24 @@ Four modes:
 Artifacts are written *inside the executing process* (worker or not) into
 the ``profiles/`` directory next to the sweep's JSONL checkpoint; file
 names are content-addressed by point key, so concurrent workers never
-contend and a retry simply overwrites its predecessor's artifact.
+contend and a retry simply overwrites its predecessor's artifact.  A
+point's wall time is not a profile: ``results.jsonl`` already records it
+as ``wall_time_s``.
 """
 
 from __future__ import annotations
 
 import cProfile
-import json
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
 __all__ = ["PROFILE_MODES", "PROFILE_SUBDIR", "profile_point", "artifact_path"]
 
-PROFILE_MODES = ("off", "wall", "cprofile", "tracemalloc")
+PROFILE_MODES = ("off", "cprofile", "tracemalloc")
 PROFILE_SUBDIR = "profiles"
 
 _SUFFIX = {
-    "wall": ".wall.json",
     "cprofile": ".pstats",
     "tracemalloc": ".tracemalloc.txt",
 }
@@ -52,13 +48,10 @@ def profile_point(spec: dict | None):
 
     ``spec`` is ``None`` (or mode "off") for a plain run, else
     ``{"mode": ..., "dir": ..., "key": ...}`` — the picklable form the
-    engine sends across the worker boundary.  Yields a dict the caller
-    may stuff extra fields into (``wall`` mode persists ``wall_time_s``
-    from it after the block).
+    engine sends across the worker boundary.
     """
-    out: dict = {}
     if spec is None or spec.get("mode", "off") == "off":
-        yield out
+        yield
         return
     mode = spec["mode"]
     if mode not in PROFILE_MODES:
@@ -67,20 +60,11 @@ def profile_point(spec: dict | None):
     dest_dir.mkdir(parents=True, exist_ok=True)
     dest = artifact_path(dest_dir, spec["key"], mode)
 
-    if mode == "wall":
-        yield out
-        dest.write_text(
-            json.dumps(
-                {"key": spec["key"], "wall_time_s": out.get("wall_time_s")},
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-    elif mode == "cprofile":
+    if mode == "cprofile":
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            yield out
+            yield
         finally:
             profiler.disable()
             profiler.dump_stats(dest)
@@ -90,7 +74,7 @@ def profile_point(spec: dict | None):
             tracemalloc.start(10)
         tracemalloc.reset_peak()
         try:
-            yield out
+            yield
         finally:
             snapshot = tracemalloc.take_snapshot()
             _cur, peak = tracemalloc.get_traced_memory()

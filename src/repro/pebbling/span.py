@@ -23,28 +23,24 @@ from repro.cdag.core import CDAG
 __all__ = ["s_span", "savage_lower_bound"]
 
 
-def _span_from(cdag: CDAG, start_mask: int, S: int) -> int:
-    """Distinct vertices ever pebbled from a fixed start placement."""
-    n = cdag.num_vertices
-    g = cdag.graph
-    pred_mask = [0] * n
-    for v in range(n):
-        for u in g.predecessors(v):
-            pred_mask[v] |= 1 << u
-    input_mask = 0
-    for v in cdag.inputs:
-        input_mask |= 1 << v
+def _span_from(
+    pred_mask: list[int], computable: list[int], start_mask: int, S: int,
+    reachable: int,
+) -> int:
+    """Distinct vertices ever pebbled from a fixed start placement.
 
+    ``computable`` lists the non-input vertices; the search stops early
+    once every one of them has been pebbled (``reachable``), since no
+    further state can add to the count.
+    """
     seen_states = {start_mask}
     stack = [start_mask]
     ever = start_mask
     while stack:
         red = stack.pop()
         popcount = bin(red).count("1")
-        for v in range(n):
+        for v in computable:
             bit = 1 << v
-            if (input_mask >> v) & 1:
-                continue
             if (pred_mask[v] & red) != pred_mask[v]:
                 continue
             if red & bit:
@@ -57,14 +53,17 @@ def _span_from(cdag: CDAG, start_mask: int, S: int) -> int:
                 ever |= bit
             else:
                 # must evict something first: branch over victims ≠ v's preds
-                for u in range(n):
-                    ubit = 1 << u
-                    if (red & ubit) and not (pred_mask[v] & ubit):
-                        nxt = (red & ~ubit) | bit
-                        if nxt not in seen_states:
-                            seen_states.add(nxt)
-                            stack.append(nxt)
-                        ever |= bit
+                victims = red & ~pred_mask[v]
+                while victims:
+                    ubit = victims & -victims
+                    victims ^= ubit
+                    nxt = (red & ~ubit) | bit
+                    if nxt not in seen_states:
+                        seen_states.add(nxt)
+                        stack.append(nxt)
+                    ever |= bit
+        if (ever & reachable) == reachable:
+            break
         # pure evictions only shrink options; skipping them is safe because
         # every compute transition above already considers one eviction,
         # and chains of evictions never enable a compute that a single
@@ -76,13 +75,27 @@ def s_span(cdag: CDAG, S: int, max_vertices: int = 14, max_starts: int | None = 
     """span_S(G): max distinct new pebblings over all ≤S-pebble placements.
 
     Exact (exponential) — guarded to small CDAGs.  Start placements range
-    over all subsets of size min(S, |V|); ``max_starts`` caps them.
+    over all subsets of size min(S, |V|); ``max_starts`` caps them.  A
+    placement can pebble at most the non-inputs outside it, so placements
+    whose cap cannot beat the best span so far are not searched, and the
+    scan ends once some placement pebbles every non-input.
     """
     n = cdag.num_vertices
     if n > max_vertices:
         raise ValueError(f"exact span limited to ≤ {max_vertices} vertices (got {n})")
     if S < 1:
         raise ValueError("S must be >= 1")
+    g = cdag.graph
+    pred_mask = [0] * n
+    for v in range(n):
+        for u in g.predecessors(v):
+            pred_mask[v] |= 1 << u
+    inputs = set(cdag.inputs)
+    computable = [v for v in range(n) if v not in inputs]
+    non_inputs = 0
+    for v in computable:
+        non_inputs |= 1 << v
+    ceiling = len(computable)
     best = 0
     count = 0
     # placements of size ≤ S: a smaller placement can yield MORE new
@@ -92,7 +105,11 @@ def s_span(cdag: CDAG, S: int, max_vertices: int = 14, max_starts: int | None = 
             mask = 0
             for v in subset:
                 mask |= 1 << v
-            best = max(best, _span_from(cdag, mask, S))
+            reachable = non_inputs & ~mask
+            if bin(reachable).count("1") > best:
+                best = max(best, _span_from(pred_mask, computable, mask, S, reachable))
+                if best == ceiling:
+                    return best
             count += 1
             if max_starts is not None and count >= max_starts:
                 return best

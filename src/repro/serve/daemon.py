@@ -78,6 +78,9 @@ WAL_NAME = "serve.wal"
 #: noticed promptly.
 _POLL_S = 0.25
 
+#: Size of the in-memory LRU fronting the disk cache on the sync fast path.
+MEM_CACHE_ENTRIES = 4096
+
 
 class DrainingError(RuntimeError):
     """The daemon is shutting down and no longer admits jobs."""
@@ -97,8 +100,7 @@ class ServeConfig:
     engine:
         The :class:`~repro.engine.core.EngineConfig` supplying cache
         location/budget and ``point_timeout_s``.  ``cache_dir`` defaults
-        to ``<serve_dir>/cache`` when unset; ``handle_signals`` is
-        forced off (the daemon owns the process signals).
+        to ``<serve_dir>/cache`` when unset.
     workers:
         Worker-pool width *and* dispatcher-thread count; 0 or 1 runs
         every job in-process (no pool, breaker effectively idle).
@@ -115,9 +117,6 @@ class ServeConfig:
         the kill of another job's hung worker is re-queued free).
     default_deadline_s:
         Deadline budget given to jobs that do not carry their own.
-    mem_cache_entries:
-        Size of the in-memory LRU fronting the disk cache on the sync
-        fast path (0 disables it).
     flush_interval_s:
         Cadence of the flusher thread (manifest + metrics + WAL group
         commit for ``wal_sync="batch"``).
@@ -140,7 +139,6 @@ class ServeConfig:
     breaker_cooldown_s: float = 5.0
     max_job_retries: int = 2
     default_deadline_s: float | None = None
-    mem_cache_entries: int = 4096
     flush_interval_s: float = 1.0
     drain_timeout_s: float = 30.0
     allow_remote_shutdown: bool = False
@@ -155,9 +153,6 @@ class ServeConfig:
         self.serve_dir = Path(self.serve_dir).expanduser()
         if self.engine.cache_dir is None:
             self.engine.cache_dir = self.serve_dir / "cache"
-        # The daemon installs its own SIGTERM/SIGINT drain; the engine's
-        # sweep-level handler must not compete for the same signals.
-        self.engine.handle_signals = False
 
     def public_dict(self) -> dict:
         """JSON-safe fields (the manifest's ``config``), engine last."""
@@ -376,13 +371,12 @@ class Daemon:
     def cached_answer(self, kind: str, params: dict) -> dict | None:
         """The sync fast path: answer from memory or disk, or None."""
         key = point_key(kind, params)
-        if self.config.mem_cache_entries > 0:
-            with self._mem_lock:
-                hit = self._mem_cache.get(key)
-                if hit is not None:
-                    self._mem_cache.move_to_end(key)
-                    self.metrics.inc("serve.cache.hit.mem")
-                    return dict(hit)
+        with self._mem_lock:
+            hit = self._mem_cache.get(key)
+            if hit is not None:
+                self._mem_cache.move_to_end(key)
+                self.metrics.inc("serve.cache.hit.mem")
+                return dict(hit)
         if self.cache is not None:
             payload = self.cache.get(key)
             if payload is not None:
@@ -397,12 +391,10 @@ class Daemon:
         return None
 
     def _mem_put(self, key: str, result: dict) -> None:
-        if self.config.mem_cache_entries <= 0:
-            return
         with self._mem_lock:
             self._mem_cache[key] = result
             self._mem_cache.move_to_end(key)
-            while len(self._mem_cache) > self.config.mem_cache_entries:
+            while len(self._mem_cache) > MEM_CACHE_ENTRIES:
                 self._mem_cache.popitem(last=False)
 
     def submit(self, kind: str, params: dict, deadline_s: float | None = None,

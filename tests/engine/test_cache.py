@@ -84,21 +84,23 @@ class TestResultCache:
             assert cache.get(key) is None
         assert len(list((tmp_path / "quarantine").iterdir())) == 2
 
-    def test_corrupt_hit_emits_engine_trace_event(self, tmp_path):
-        from repro.engine import EngineConfig, Tracer, run_point
+    def test_corrupt_hit_counts_engine_metric(self, tmp_path):
+        from repro.engine import EngineConfig, run_point, run_sweep
         from repro.engine.runners import seq_io_point as point
+        from repro.obs.manifest import MANIFEST_NAME, RunManifest
 
-        tracer = Tracer()
-        cfg = EngineConfig(cache_dir=tmp_path, tracer=tracer)
-        res = run_point(point("strassen", 8, 48), cfg)
-        path = tmp_path / res.key[:2] / f"{res.key}.json"
+        cache_dir = tmp_path / "cache"
+        res = run_point(point("strassen", 8, 48), EngineConfig(cache_dir=cache_dir))
+        path = cache_dir / res.key[:2] / f"{res.key}.json"
         path.write_text("garbage", encoding="utf-8")
-        rerun = run_point(point("strassen", 8, 48), cfg)
-        assert not rerun.cached
-        assert tracer.kinds().get("engine.cache.corrupt") == 1
-        ev = [e for e in tracer.events if e.kind == "engine.cache.corrupt"][0]
-        assert ev.payload["key"] == res.key
-        assert "quarantine" in ev.payload["quarantined"]
+        sweep_dir = tmp_path / "sweep"
+        rerun = run_sweep([point("strassen", 8, 48)],
+                          EngineConfig(cache_dir=cache_dir, sweep_dir=sweep_dir))
+        assert rerun.stats["cache_hits"] == 0
+        counters = RunManifest.load(sweep_dir / MANIFEST_NAME)["metrics"]["counters"]
+        assert counters["engine.cache.corrupt"] == 1
+        quarantined = [p.name for p in (cache_dir / "quarantine").iterdir()]
+        assert quarantined == [f"{res.key}.json"]
 
     def test_verify_reports_corrupt_and_orphaned_tmp(self, tmp_path):
         cache = ResultCache(tmp_path)

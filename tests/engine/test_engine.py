@@ -1,4 +1,4 @@
-"""Engine behavior: caching, parallel fan-out, trace events, wrappers."""
+"""Engine behavior: caching, parallel fan-out, point traces, wrappers."""
 
 import re
 import warnings
@@ -7,7 +7,6 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
-    Tracer,
     load_results_jsonl,
     parallel_comm_point,
     pebble_optimal_point,
@@ -176,8 +175,8 @@ class TestRunSweep:
         assert all(p.measured >= p.bound for p in res.points)
 
     def test_jsonl_output(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        res = run_sweep(_points(), EngineConfig(jsonl_path=path))
+        path = tmp_path / "results.jsonl"
+        res = run_sweep(_points(), EngineConfig(sweep_dir=tmp_path))
         loaded = load_results_jsonl(path)
         assert [r.fingerprint() for r in loaded] == [
             r.fingerprint() for r in res.runs
@@ -186,8 +185,8 @@ class TestRunSweep:
     def test_sweep_from_jsonl_round_trip(self, tmp_path):
         from repro.analysis.fitting import sweep_from_jsonl
 
-        path = tmp_path / "runs.jsonl"
-        res = run_sweep(_points(), EngineConfig(jsonl_path=path))
+        path = tmp_path / "results.jsonl"
+        res = run_sweep(_points(), EngineConfig(sweep_dir=tmp_path))
         rebuilt = sweep_from_jsonl(path)
         assert rebuilt.measured == res.measured
         assert rebuilt.exponent == pytest.approx(res.exponent)
@@ -195,8 +194,8 @@ class TestRunSweep:
     def test_jsonl_tolerates_truncated_final_line(self, tmp_path):
         """A writer killed mid-line must not poison the stream: the
         truncated final line is skipped silently, not an exception."""
-        path = tmp_path / "runs.jsonl"
-        res = run_sweep(_points(), EngineConfig(jsonl_path=path))
+        path = tmp_path / "results.jsonl"
+        res = run_sweep(_points(), EngineConfig(sweep_dir=tmp_path))
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"key": "deadbeef", "kind": "seq_io", "par')  # no newline
         loaded = load_results_jsonl(path)
@@ -205,8 +204,8 @@ class TestRunSweep:
         ]
 
     def test_jsonl_mid_file_corruption_still_raises(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        run_sweep(_points(), EngineConfig(jsonl_path=path))
+        path = tmp_path / "results.jsonl"
+        run_sweep(_points(), EngineConfig(sweep_dir=tmp_path))
         lines = path.read_text().splitlines()
         lines[0] = lines[0][:20]  # corrupt a non-final line
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -256,21 +255,23 @@ class TestRunSweep:
         assert sorted(e["status"] for e in ledger.values()) == ["ok"] * 3
         assert "fitted exponent" in render_report(build_report(sweep_dir))
 
-    def test_jsonl_streams_incrementally(self, tmp_path):
+    def test_jsonl_streams_incrementally(self, tmp_path, monkeypatch):
         """Each point's line is flushed as it completes, not at sweep end —
-        verified by reading the file from a tracer callback mid-sweep."""
-        path = tmp_path / "runs.jsonl"
+        verified by reading the file right after each point is recorded."""
+        from repro.engine.core import _SweepRunner
+
+        path = tmp_path / "results.jsonl"
         lines_at_done: list[int] = []
+        record = _SweepRunner._record
 
-        def sink(ev):
-            if ev.kind == "engine.point.done":
-                lines_at_done.append(
-                    len(path.read_text().splitlines()) if path.exists() else 0
-                )
+        def recording(runner, index, run):
+            record(runner, index, run)
+            lines_at_done.append(
+                len(path.read_text().splitlines()) if path.exists() else 0
+            )
 
-        run_sweep(
-            _points(), EngineConfig(jsonl_path=path, tracer=Tracer(sink=sink))
-        )
+        monkeypatch.setattr(_SweepRunner, "_record", recording)
+        run_sweep(_points(), EngineConfig(sweep_dir=tmp_path))
         assert lines_at_done == [1, 2, 3]
 
     def test_pooled_wall_time_is_per_point_not_pool_average(self):
@@ -297,24 +298,6 @@ class TestRunSweep:
 
 
 class TestTraceEvents:
-    def test_engine_event_stream_schema(self, tmp_path):
-        tracer = Tracer()
-        cfg = EngineConfig(cache_dir=tmp_path, tracer=tracer)
-        run_sweep(_points(), cfg)
-        run_sweep(_points(), cfg)
-        kinds = tracer.kinds()
-        assert kinds["engine.point.start"] == 2 * len(SIZES)
-        assert kinds["engine.cache.miss"] == len(SIZES)
-        assert kinds["engine.cache.hit"] == len(SIZES)
-        assert kinds["engine.point.done"] == 2 * len(SIZES)
-        for ev in tracer.events:
-            assert isinstance(ev.kind, str) and ev.kind
-            assert isinstance(ev.payload, dict)
-            assert isinstance(ev.ts, float)
-            assert "key" in ev.payload
-            d = ev.to_dict()
-            assert set(d) == {"kind", "payload", "ts"}
-
     def test_machine_counters_in_trace(self):
         res = run_point(seq_io_point("strassen", 16, M))
         counters = res.trace["metrics"]["counters"]

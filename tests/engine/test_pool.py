@@ -17,12 +17,12 @@ import pytest
 from repro.engine import (
     EngineConfig,
     FaultRule,
-    Tracer,
     inject_faults,
     run_sweep,
     seq_io_point,
 )
 from repro.engine import pool as registry
+from repro.engine.core import _SweepRunner
 
 M = 48
 SIZES = (8, 16, 32)
@@ -70,19 +70,21 @@ def test_consecutive_sweeps_share_workers(borrowed):
     assert _fingerprints(first) == _fingerprints(second)
 
 
-def test_timeout_kill_leaves_next_sweep_on_fresh_workers(borrowed):
+def test_timeout_kill_leaves_next_sweep_on_fresh_workers(borrowed, monkeypatch):
     serial = run_sweep(_points(), EngineConfig(workers=0))
     hung_pids = set()
+    fail_attempt = _SweepRunner._fail_attempt
 
-    def note_hung_workers(event):
-        # emitted before the engine kills the pool
-        if event.kind == "engine.point.timeout":
+    def note_hung_workers(runner, task, kind, exc):
+        # a timeout is charged before the engine kills the pool
+        if kind == "timeout":
             hung_pids.update(_pids(borrowed[-1]))
+        return fail_attempt(runner, task, kind, exc)
 
+    monkeypatch.setattr(_SweepRunner, "_fail_attempt", note_hung_workers)
     with inject_faults(_rule("hang", 16, times=1, hang_s=60.0)):
         killed = run_sweep(_points(), EngineConfig(
             workers=2, point_timeout_s=1.0, max_retries=1,
-            tracer=Tracer(sink=note_hung_workers),
         ))
     assert killed.stats["timeouts"] == 1 and killed.failures == []
     assert killed.stats["pool_rebuilds"] >= 1
@@ -112,18 +114,21 @@ def test_fail_fast_sweep_does_not_return_its_pool(borrowed):
     assert borrowed[0]._shutdown_thread
 
 
-def test_interrupted_sweep_does_not_return_its_pool(borrowed):
+def test_interrupted_sweep_does_not_return_its_pool(borrowed, monkeypatch):
     assert threading.current_thread() is threading.main_thread()
+    record = _SweepRunner._record
+    interrupted = []
 
-    def interrupt_after_first_point(event):
-        # the sweep's drain handler is installed while it emits events
-        if event.kind == "engine.point.done":
-            tracer.sink = None
+    def interrupt_after_first_point(runner, index, run):
+        # the sweep's drain handler is installed while it records points
+        record(runner, index, run)
+        if not interrupted:
+            interrupted.append(index)
             os.kill(os.getpid(), signal.SIGINT)
 
-    tracer = Tracer(sink=interrupt_after_first_point)
+    monkeypatch.setattr(_SweepRunner, "_record", interrupt_after_first_point)
     with inject_faults(_rule("delay", 32, delay_s=30.0)):
-        res = run_sweep(_points(), EngineConfig(workers=2, tracer=tracer))
+        res = run_sweep(_points(), EngineConfig(workers=2))
     assert res.stats["interrupted"] == 1.0
     assert "skipped" in {r.status for r in res.failures}
     assert len(borrowed) == 1

@@ -145,14 +145,6 @@ def test_sigkill_mid_sweep_leaves_a_foldable_ledger_and_resumes(tmp_path):
     assert not {int(p.x): p.run.cached for p in res.points}[32]
 
 
-def test_handle_signals_off_leaves_handlers_alone():
-    previous = signal.getsignal(signal.SIGTERM)
-    res = run_sweep([seq_io_point("strassen", 8, M)],
-                    EngineConfig(handle_signals=False))
-    assert signal.getsignal(signal.SIGTERM) is previous
-    assert res.stats["interrupted"] == 0.0
-
-
 def test_handlers_restored_after_sweep():
     before = signal.getsignal(signal.SIGTERM)
     run_sweep([seq_io_point("strassen", 8, M)], EngineConfig())

@@ -72,16 +72,17 @@ class TestCLIJson:
         argv = [
             "sweep", "16", "--M", "48", "--json",
             "--cache-dir", str(tmp_path / "cache"),
-            "--jsonl", str(tmp_path / "runs.jsonl"),
+            "--sweep-dir", str(tmp_path / "sweep"),
         ]
         assert main(argv) == 0
         capsys.readouterr()
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stats"]["cache_hits"] == 1
-        lines = (tmp_path / "runs.jsonl").read_text().strip().splitlines()
+        stream = tmp_path / "sweep" / "results.jsonl"
+        lines = stream.read_text().strip().splitlines()
         assert len(lines) == 2  # appended across both invocations
-        assert load_results_jsonl(tmp_path / "runs.jsonl")[0].kind == "seq_io"
+        assert load_results_jsonl(stream)[0].kind == "seq_io"
 
     def test_sweep_classical_algorithm(self, capsys):
         assert main(["sweep", "16", "--M", "48", "--algorithm", "classical", "--json"]) == 0

@@ -79,14 +79,14 @@ class TestLifecycle:
         assert entry["attempts"] == 3
 
     def test_fold_ignores_keys_outside_the_ledger(self, tmp_path):
-        """An explicit jsonl_path can be shared by several sweeps."""
+        """A sweep dir reused by a different sweep keeps the earlier
+        sweep's records in its log; only this sweep's points fold."""
         mine, other = (seq_io_point("strassen", n, 48) for n in (8, 16))
-        shared = tmp_path / "shared.jsonl"
+        stream = tmp_path / "sweep" / "results.jsonl"
         man = RunManifest(tmp_path / "sweep")
-        man.start({"jsonl_path": str(shared), "sweep_dir": str(tmp_path / "sweep")},
-                  "n", [mine])
-        _append(shared, _run(other))
-        _append(shared, _run(mine))
+        man.start({"sweep_dir": str(tmp_path / "sweep")}, "n", [mine])
+        _append(stream, _run(other))
+        _append(stream, _run(mine))
         points = RunManifest.load(tmp_path / "sweep" / MANIFEST_NAME)["points"]
         assert set(points) == {mine.key}
         assert points[mine.key]["status"] == "ok"
@@ -94,8 +94,7 @@ class TestLifecycle:
     def test_moved_directory_folds_its_own_stream(self, tmp_path):
         point = seq_io_point("strassen", 8, 48)
         man = RunManifest(tmp_path / "a")
-        man.start({"jsonl_path": str(tmp_path / "a" / "results.jsonl"),
-                   "sweep_dir": str(tmp_path / "a")}, "n", [point])
+        man.start({"sweep_dir": str(tmp_path / "a")}, "n", [point])
         _append(tmp_path / "a" / "results.jsonl", _run(point))
         (tmp_path / "a").rename(tmp_path / "b")
         points = RunManifest.load(tmp_path / "b" / MANIFEST_NAME)["points"]

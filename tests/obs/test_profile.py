@@ -1,6 +1,5 @@
 """Per-point profiling artifacts (EngineConfig.profile modes)."""
 
-import json
 import pstats
 
 import pytest
@@ -20,14 +19,6 @@ class TestProfilePoint:
         with pytest.raises(ValueError, match="unknown profile mode"):
             with profile_point({"mode": "flamegraph", "dir": str(tmp_path), "key": "k"}):
                 pass
-
-    def test_wall_mode_persists_wall_time(self, tmp_path):
-        spec = {"mode": "wall", "dir": str(tmp_path), "key": "abc"}
-        with profile_point(spec) as out:
-            out["wall_time_s"] = 0.125
-        artifact = artifact_path(tmp_path, "abc", "wall")
-        assert artifact.is_file()
-        assert json.loads(artifact.read_text()) == {"key": "abc", "wall_time_s": 0.125}
 
     def test_cprofile_mode_dumps_loadable_stats(self, tmp_path):
         spec = {"mode": "cprofile", "dir": str(tmp_path), "key": "abc"}
@@ -56,11 +47,11 @@ class TestProfilePoint:
     def test_modes_registry_matches_engine_config(self):
         from repro.engine import EngineConfig
 
-        assert PROFILE_MODES == ("off", "wall", "cprofile", "tracemalloc")
+        assert PROFILE_MODES == ("off", "cprofile", "tracemalloc")
         with pytest.raises(ValueError, match="unknown profile mode"):
-            EngineConfig(profile="perf")
-        with pytest.raises(ValueError, match="requires sweep_dir"):
             EngineConfig(profile="wall")
+        with pytest.raises(ValueError, match="requires sweep_dir"):
+            EngineConfig(profile="cprofile")
 
 
 class TestEngineIntegration:
@@ -68,12 +59,12 @@ class TestEngineIntegration:
         from repro.engine import EngineConfig, run_sweep, seq_io_point
 
         points = [seq_io_point(None, n, 48) for n in (8, 16)]
-        config = EngineConfig(sweep_dir=tmp_path / "sweep", profile="wall")
+        config = EngineConfig(sweep_dir=tmp_path / "sweep", profile="cprofile")
         res = run_sweep(points, config)
         assert len(res.points) == 2
         profiles = sorted((tmp_path / "sweep" / "profiles").iterdir())
         assert [p.name for p in profiles] == sorted(
-            f"{pt.key}.wall.json" for pt in points
+            f"{pt.key}.pstats" for pt in points
         )
         for artifact in profiles:
-            assert json.loads(artifact.read_text())["wall_time_s"] > 0
+            assert pstats.Stats(str(artifact)).total_calls >= 1

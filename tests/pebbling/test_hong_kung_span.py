@@ -1,5 +1,7 @@
 """Unit tests for the Hong–Kung S-partition and Savage S-span machinery."""
 
+import time
+
 import pytest
 
 from repro.cdag.core import CDAG
@@ -76,6 +78,14 @@ class TestSpan:
         pebbles: span = k−1 new vertices."""
         c = path_cdag(6)
         assert s_span(c, 2) == 5
+
+    def test_diamond_chain_span_within_default_guard(self):
+        """13 vertices fit the default guard: the whole chain is pebbled
+        from its input, and the scan stops there instead of searching all
+        4,096 placements."""
+        t0 = time.perf_counter()
+        assert s_span(diamond_chain_cdag(4), 6) == 12
+        assert time.perf_counter() - t0 < 2.0
 
     def test_span_monotone_in_s(self):
         for c in (binary_tree_cdag(3), diamond_chain_cdag(3), recompute_wins_cdag(1, 2)):

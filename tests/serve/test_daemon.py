@@ -280,17 +280,13 @@ class TestTerminalJobBound:
 
 
 class TestMemCache:
-    def test_lru_evicts_the_coldest_entry(self, tmp_path):
-        d = Daemon(_config(tmp_path, mem_cache_entries=2))
+    def test_lru_evicts_the_coldest_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.daemon.MEM_CACHE_ENTRIES", 2)
+        d = Daemon(_config(tmp_path))
         d._mem_put("k1", {"status": "ok", "n": 1})
         d._mem_put("k2", {"status": "ok", "n": 2})
         d._mem_put("k3", {"status": "ok", "n": 3})
         assert list(d._mem_cache) == ["k2", "k3"]
-
-    def test_zero_entries_disables_the_layer(self, tmp_path):
-        d = Daemon(_config(tmp_path, mem_cache_entries=0))
-        d._mem_put("k1", {"status": "ok"})
-        assert len(d._mem_cache) == 0
 
 
 class TestIntrospection:
@@ -308,8 +304,6 @@ class TestIntrospection:
         with pytest.raises(ValueError, match="queue_depth"):
             ServeConfig(serve_dir=tmp_path, queue_depth=0)
 
-    def test_engine_signals_forced_off(self, tmp_path):
-        """The daemon owns SIGTERM/SIGINT; the engine must not compete."""
+    def test_engine_cache_defaults_into_serve_dir(self, tmp_path):
         cfg = _config(tmp_path)
-        assert cfg.engine.handle_signals is False
         assert cfg.engine.cache_dir == cfg.serve_dir / "cache"
