@@ -66,7 +66,7 @@ def measure(n: int, M: int, P: int) -> None:
     levels = max(0, min(2, round(np.log(P) / np.log(7)))) if P > 1 else 0
     bfs_p = 7 ** levels
     if bfs_p > 1 and n % (2 ** levels) == 0:
-        _, stats = execute_parallel_bfs(strassen(), A, B, P=bfs_p, M=M)
+        _, stats = execute_parallel_bfs(strassen(), A, B, P=bfs_p)
         rows.append([f"BFS Strassen comm/proc (P={bfs_p})", stats.comm_per_proc_max])
     print(text_table(["execution", "measured I/O (words)"], rows))
 

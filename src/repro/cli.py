@@ -661,10 +661,6 @@ def _cmd_serve(args) -> int:
         wal_sync=args.wal_sync,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
-        max_job_retries=args.job_retries,
-        default_deadline_s=args.deadline,
-        flush_interval_s=args.flush_interval,
-        drain_timeout_s=args.drain_timeout,
         allow_remote_shutdown=args.allow_remote_shutdown,
         engine=EngineConfig(
             workers=args.workers,
@@ -882,10 +878,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="consecutive pool failures that trip the breaker")
     p_serve.add_argument("--breaker-cooldown", type=float, default=5.0, metavar="S",
                          help="seconds the breaker stays open before a probe")
-    p_serve.add_argument("--job-retries", type=int, default=2,
-                         help="infrastructure-failure retries per job")
-    p_serve.add_argument("--deadline", type=float, default=None, metavar="S",
-                         help="default per-job deadline budget")
     p_serve.add_argument("--timeout", type=float, default=None, metavar="S",
                          help="per-execution wall-clock limit (EngineConfig."
                               "point_timeout_s)")
@@ -893,10 +885,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="result cache (default: <dir>/cache)")
     p_serve.add_argument("--cache-max-bytes", type=int, default=None, metavar="B",
                          help="cache size budget with LRU eviction")
-    p_serve.add_argument("--flush-interval", type=float, default=1.0, metavar="S",
-                         help="manifest/metrics flush cadence")
-    p_serve.add_argument("--drain-timeout", type=float, default=30.0, metavar="S",
-                         help="graceful-shutdown wait for in-flight jobs")
     p_serve.add_argument("--allow-remote-shutdown", action="store_true",
                          help="expose POST /shutdown (tests and drills)")
     p_serve.set_defaults(fn=_cmd_serve)

@@ -264,21 +264,19 @@ def parallel_comm_point(
     """Per-processor communication of one distributed matmul:
     alg None = classical SUMMA on the BSP machine, else BFS-parallel.
 
-    ``backend`` (fast-matmul points only) counts communication through
-    the owner-map Schedule IR instead of the numeric execution; the
-    local-I/O term is then counted by the same backend on the local
-    sub-problem.  Omitted from params when None (cache-key stable).
+    ``M`` adds the memory-dependent bound term and, for BFS, the local
+    I/O of one leaf sub-problem.  ``backend`` as for ``seq_io``: the
+    reference and vector backends count BFS communication through the
+    owner-map Schedule IR (and the local I/O on the same backend); SUMMA
+    runs on the ``machine`` backend only.
     """
-    params = {
+    return _point("parallel_comm", {
         "alg": algorithm_spec(alg),
         "n": int(n),
         "P": int(P),
         "M": None if M is None else int(M),
         "seed": int(seed),
-    }
-    if backend is not None:
-        params["backend"] = str(backend)
-    return ExperimentPoint("parallel_comm", params)
+    }, backend)
 
 
 def pebble_optimal_point(
@@ -481,6 +479,12 @@ def _run_seq_io(params: dict, kind: str = "seq_io") -> dict:
 
 
 def _run_parallel_comm(params: dict) -> dict:
+    """A ``parallel_comm`` point: one :func:`repro.schedule.run` of its
+    BFS or SUMMA schedule (the ``machine`` backend unless the point names
+    one), plus — for BFS with an ``M`` — the local I/O of one leaf
+    sub-problem counted as a ``seq_io`` schedule on the same backend,
+    plus both parallel bound terms."""
+    from repro import schedule as _schedule
     from repro.bounds.formulas import (
         classical_memory_independent,
         classical_parallel,
@@ -489,58 +493,23 @@ def _run_parallel_comm(params: dict) -> dict:
     )
 
     alg = resolve_algorithm(params["alg"])
-    n, P, M, seed = params["n"], params["P"], params["M"], params["seed"]
-    backend = params.get("backend")
-    if backend and alg is not None:
-        from repro import schedule as _schedule
-        from repro.bounds.formulas import fast_memory_independent, fast_parallel
-
-        report = _schedule.run(
-            _schedule.parallel_comm_schedule(alg, n, P), backend=backend
-        )
-        comm_max = float(report.metrics["comm_per_proc_max"])
-        local_io = 0.0
-        if M:
-            local_n = n // (2 ** int(report.metrics["levels"]))
-            local_io = float(
-                _schedule.run(
-                    _schedule.seq_io_schedule(alg, local_n, M), backend=backend
-                ).io
-            )
-        md = fast_parallel(n, M, P, alg.omega0) if M else float("nan")
-        mi = fast_memory_independent(n, P, alg.omega0)
-        return {
-            "comm_per_proc_max": comm_max,
-            "local_io_per_proc": local_io,
-            "bound_memory_dependent": float(md),
-            "bound_memory_independent": float(mi),
-            "bound": float(max(md, mi)) if md == md else float(mi),
-        }
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
+    n, P, M = params["n"], params["P"], params["M"]
+    backend = params.get("backend") or "machine"
+    spec = _schedule.parallel_comm_schedule(alg, n, P, M)
+    spec.payload["seed"] = params["seed"]
+    comm = _schedule.run(spec, backend=backend).metrics
+    local_io = 0.0
+    if M is not None and alg is not None:
+        local = _schedule.seq_io_schedule(alg, n // 2 ** int(comm["levels"]), M)
+        local_io = float(_schedule.run(local, backend=backend).io)
     if alg is None:
-        from repro.execution.parallel_classical import parallel_classical_summa
-        from repro.machine.parallel import BSPMachine
-
-        machine = BSPMachine(P, M)
-        C = parallel_classical_summa(machine, A, B)
-        comm_max = float(machine.max_io_per_processor)
-        local_io = 0.0
-        md = classical_parallel(n, M, P) if M else float("nan")
+        md = classical_parallel(n, M, P) if M is not None else float("nan")
         mi = classical_memory_independent(n, P)
     else:
-        from repro.execution.parallel_strassen import execute_parallel_bfs
-
-        C, stats = execute_parallel_bfs(alg, A, B, P=P, M=M)
-        comm_max = float(stats.comm_per_proc_max)
-        local_io = float(stats.local_io_per_proc)
-        md = fast_parallel(n, M, P, alg.omega0) if M else float("nan")
+        md = fast_parallel(n, M, P, alg.omega0) if M is not None else float("nan")
         mi = fast_memory_independent(n, P, alg.omega0)
-    if not np.allclose(C, A @ B):
-        raise AssertionError(f"wrong product at P={P}")
     return {
-        "comm_per_proc_max": comm_max,
+        "comm_per_proc_max": float(comm["comm_per_proc_max"]),
         "local_io_per_proc": local_io,
         "bound_memory_dependent": float(md),
         "bound_memory_independent": float(mi),
@@ -709,12 +678,18 @@ def _run_lru_trace(params: dict) -> dict:
     }
 
 
-#: Params a hand-written point of these kinds (a ``repro serve`` body skips
-#: the builders) must carry; checked before anything executes.
+#: Params a hand-written point (a ``repro serve`` body skips the builders)
+#: must carry, per kind; checked before anything executes.
 _REQUIRED = {
     "seq_io": ("alg", "n", "M", "seed"),
     "hybrid": ("alg", "n", "M", "cutoff", "seed"),
     "parallel_comm": ("alg", "n", "P", "M", "seed"),
+    "pebble_optimal": ("family", "family_params", "M", "allow_recompute",
+                       "read_cost", "write_cost", "max_states"),
+    "pebble_search": ("family", "family_params", "M", "scheduler",
+                      "read_cost", "write_cost"),
+    "segment_audit": ("alg", "n", "M", "scheduler", "style"),
+    "lru_trace": ("n", "M"),
 }
 
 _EXECUTORS = {
@@ -752,7 +727,7 @@ def execute_point(spec: dict, profile: dict | None = None) -> tuple[dict, dict, 
     kind = spec["kind"]
     if kind not in _EXECUTORS:
         raise KeyError(f"unknown experiment kind {kind!r}")
-    missing = [p for p in _REQUIRED.get(kind, ()) if p not in spec["params"]]
+    missing = [p for p in _REQUIRED[kind] if p not in spec["params"]]
     if missing:
         raise ValueError(f"{kind} point is missing param(s) {missing}")
     t0 = time.perf_counter()

@@ -20,10 +20,14 @@ parallel max{·,·} crosses over), and shape needs both sides.
   separating transform I/O (Θ(n² log n)) from bilinear I/O (Theorem 4.1's
   "negligible" claim, measured);
 * :func:`execute_parallel_bfs` / :func:`parallel_classical_summa` —
-  distributed executions on the BSP machine for the parallel bounds.
+  distributed executions for the parallel bounds (SUMMA on the BSP
+  machine); a ``parallel_comm`` point adds the local I/O of one leaf
+  sub-problem as a sequential run.
 
-All of these also run behind the unified facade
-:func:`repro.schedule.run` (backends "reference", "vector", "symbolic").
+All of these run behind the unified facade :func:`repro.schedule.run`
+as its ``machine`` backend; the "reference", "vector" and "symbolic"
+backends count the same workloads without executing them (SUMMA on
+``machine`` only).
 """
 
 from repro.execution.classical_tiled import execute_lru_trace, execute_tiled

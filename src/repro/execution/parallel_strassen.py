@@ -11,10 +11,10 @@ charges one word of communication whenever an entry needed by processor p
 is owned by p′ ≠ p — the parallel model's I/O definition, counted exactly.
 Numeric data rides along so tests verify C = A·B.
 
-Local multiplications can additionally be run against a
-:class:`SequentialMachine` with memory M, producing the memory-dependent
-term (n/√M)^{ω₀}·M/P; the communication term yields the memory-independent
-n²/P^{2/ω₀}.  Together they trace Theorem 1.1's max{·,·}.
+The communication term yields the memory-independent n²/P^{2/ω₀}; the
+memory-dependent term (n/√M)^{ω₀}·M/P is the local I/O of one leaf
+sub-problem, which the engine's ``parallel_comm`` runner counts as a
+``seq_io`` schedule.  Together they trace Theorem 1.1's max{·,·}.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.bilinear import BilinearAlgorithm
-from repro.machine.sequential import SequentialMachine
-from repro.execution.recursive_bilinear import execute_recursive_bilinear
 
 __all__ = [
     "ParallelRunStats",
@@ -43,7 +41,6 @@ class ParallelRunStats:
     levels: int
     sent: np.ndarray
     received: np.ndarray
-    local_io_per_proc: float
 
     @property
     def comm_per_proc_max(self) -> int:
@@ -52,11 +49,6 @@ class ParallelRunStats:
     @property
     def comm_per_proc_mean(self) -> float:
         return float((self.sent + self.received).mean())
-
-    @property
-    def io_per_proc_max(self) -> float:
-        """Communication + local memory-hierarchy I/O (the model's total)."""
-        return self.comm_per_proc_max + self.local_io_per_proc
 
 
 def _round_robin_owners(group: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -159,16 +151,12 @@ def execute_parallel_bfs(
     A: np.ndarray,
     B: np.ndarray,
     P: int,
-    M: int | None = None,
-    base_size: int | None = None,
 ) -> tuple[np.ndarray, ParallelRunStats]:
     """Run the BFS-parallel algorithm; P must be a power of alg.t (7^k).
 
     The communication tallies come from :func:`simulate_bfs_comm`; the
     numeric product recurses through ``alg.apply_one_level``.  Returns
-    (C, stats).  When ``M`` is given, one representative local
-    multiplication is executed on a SequentialMachine(M) and its I/O is
-    reported per processor (all local problems have identical shape).
+    (C, stats).
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -180,19 +168,6 @@ def execute_parallel_bfs(
             return X @ Y
         return alg.apply_one_level(X, Y, lambda a, b: bfs(a, b, level + 1))
 
-    C = bfs(A, B, 0)
-
-    local_io = 0.0
-    if M is not None:
-        local_n = n // (2 ** levels)
-        mach = SequentialMachine(M)
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((local_n, local_n))
-        Y = rng.standard_normal((local_n, local_n))
-        execute_recursive_bilinear(mach, alg, X, Y, base_size=base_size)
-        local_io = float(mach.io_operations)
-
-    return C, ParallelRunStats(
-        P=P, n=n, levels=levels, sent=sent, received=received,
-        local_io_per_proc=local_io,
+    return bfs(A, B, 0), ParallelRunStats(
+        P=P, n=n, levels=levels, sent=sent, received=received
     )

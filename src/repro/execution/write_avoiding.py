@@ -18,12 +18,7 @@ sequential-machine counterpart of that discussion:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.bilinear import BilinearAlgorithm
-from repro.execution.classical_tiled import execute_tiled
-from repro.execution.recursive_bilinear import execute_recursive_bilinear
-from repro.machine.sequential import SequentialMachine
 
 __all__ = [
     "tiled_matmul_write_profile",
@@ -32,36 +27,31 @@ __all__ = [
 ]
 
 
+def _write_profile(alg, n: int, M: int, seed: int) -> dict[str, float]:
+    """Reads/writes of one full (replay-off, product-checked) ``seq_io``
+    run on the machine backend."""
+    from repro import schedule
+
+    spec = schedule.seq_io_schedule(alg, n, M, replay=False)
+    spec.payload["seed"] = seed
+    report = schedule.run(spec, backend="machine")
+    return {
+        "reads": float(report.reads),
+        "writes": float(report.writes),
+        "write_fraction": report.writes / report.io,
+    }
+
+
 def tiled_matmul_write_profile(n: int, M: int, seed: int = 0) -> dict[str, float]:
     """Reads/writes of the tiled classical execution at (n, M)."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
-    machine = SequentialMachine(M)
-    C = execute_tiled(machine, A, B)
-    assert np.allclose(C, A @ B)
-    return {
-        "reads": float(machine.words_read),
-        "writes": float(machine.words_written),
-        "write_fraction": machine.words_written / machine.io_operations,
-    }
+    return _write_profile(None, n, M, seed)
 
 
 def recursive_fast_write_profile(
     alg: BilinearAlgorithm, n: int, M: int, seed: int = 0
 ) -> dict[str, float]:
     """Reads/writes of the DFS fast execution at (n, M)."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
-    machine = SequentialMachine(M)
-    C = execute_recursive_bilinear(machine, alg, A, B)
-    assert np.allclose(C, A @ B)
-    return {
-        "reads": float(machine.words_read),
-        "writes": float(machine.words_written),
-        "write_fraction": machine.words_written / machine.io_operations,
-    }
+    return _write_profile(alg, n, M, seed)
 
 
 def nvm_cost_comparison(

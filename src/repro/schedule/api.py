@@ -10,11 +10,13 @@ backend runs them behind the same facade.
 
 Backends
 --------
-``machine``     the physical executor on a live :class:`SequentialMachine`
-                (the ``machine`` argument when given) with operands seeded
-                from ``payload["seed"]``; checks C = AB only with replay
-                off; seq_io and lru_trace only.  The engine's points run
-                here when they name no backend
+``machine``     the physical executor with operands seeded from
+                ``payload["seed"]``: seq_io on a live
+                :class:`SequentialMachine` (the ``machine`` argument when
+                given; checks C = AB only with replay off), lru_trace,
+                and parallel_comm (BFS or SUMMA on a :class:`BSPMachine`;
+                always checks C = AB — the only backend for SUMMA).  The
+                engine's points run here when they name no backend
 ``reference``   op-by-op interpretation; for sequential workloads the ops
                 are charged through a live :class:`SequentialMachine`
                 (same capacity checks, counters, and metrics publications

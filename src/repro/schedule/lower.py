@@ -35,7 +35,8 @@ The non-matmul kinds:
 * ``lru_trace`` — one TRACE op per i-row of the naive matmul trace;
 * ``pebble`` — a 1:1 move translation of a red-blue pebbling schedule;
 * ``parallel_comm`` — owner-map simulation of the BFS-parallel execution
-  emitting one COMM op per (level, product, operand) redistribution.
+  emitting one COMM op per (level, product, operand) redistribution
+  (the ``summa`` variant raises :class:`BackendUnsupported`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 
 from repro.machine.sequential import STREAM_BUFFERS, TILE_BUFFERS, stream_chunks
-from repro.schedule.ir import Op, OpKind, ScheduleIR
+from repro.schedule.ir import BackendUnsupported, Op, OpKind, ScheduleIR
 from repro.schedule.spec import ScheduleSpec
 
 __all__ = ["lower", "lower_seq_io", "lower_lru_trace", "lower_pebble",
@@ -277,9 +278,16 @@ def lower_parallel_comm(spec: ScheduleSpec) -> ScheduleIR:
     number of entries that change processor.  Per-processor sent/received
     tallies land in ``ir.meta`` — they are exactly the physical
     execution's, certified by tests/schedule/test_backends.py.
+
+    The ``summa`` variant has no lowering: its broadcasts are counted
+    only by running it on the BSP machine (the ``machine`` backend).
     """
     from repro.execution.parallel_strassen import simulate_bfs_comm
 
+    if spec.params.get("variant") == "summa":
+        raise BackendUnsupported(
+            "parallel_comm 'summa' has no lowering; run it on the machine backend"
+        )
     alg = spec.payload["alg"]
     n, P = spec.params["n"], spec.params["P"]
     ir = ScheduleIR(kind="parallel_comm", params=dict(spec.params))

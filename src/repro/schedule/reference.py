@@ -17,9 +17,11 @@ are recorded from the physical executors themselves.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.schedule.ir import OpKind, ScheduleIR
 
-__all__ = ["execute"]
+__all__ = ["execute", "comm_metrics", "parallel_comm"]
 
 
 def _seq_io(ir: ScheduleIR, machine=None) -> dict:
@@ -75,7 +77,29 @@ def _pebble(ir: ScheduleIR, params: dict) -> dict:
     }
 
 
-def _parallel_comm(ir: ScheduleIR) -> dict:
+def comm_metrics(sent, received, levels: int) -> dict:
+    """The ``parallel_comm`` metrics of per-processor word tallies.
+
+    Every word moved is charged once to its sender, so ``sent`` sums to
+    the total.  The one reader for all backends that count the kind: the
+    machine backend hands in its run's tallies, reference and vector
+    those of the lowered IR (:func:`parallel_comm`).
+    """
+    total = int(np.sum(sent))
+    per_proc = np.asarray(sent) + np.asarray(received)
+    return {
+        "total_comm_words": total,
+        "comm_per_proc_max": int(per_proc.max()),
+        "comm_per_proc_mean": float(per_proc.mean()),
+        "levels": int(levels),
+        "reads": total,
+        "writes": 0,
+        "io": total,
+    }
+
+
+def parallel_comm(ir: ScheduleIR) -> dict:
+    """Count a lowered ``parallel_comm`` IR from its ``meta`` tallies."""
     sent = ir.meta.get("sent")
     received = ir.meta.get("received")
     if sent is None or received is None:
@@ -83,17 +107,7 @@ def _parallel_comm(ir: ScheduleIR) -> dict:
             "parallel_comm IR is missing its per-processor tallies "
             "(ir.meta['sent'/'received']); re-lower from the spec"
         )
-    total = sum(op.words for op in ir.ops if op.kind is OpKind.COMM)
-    per_proc = sent + received
-    return {
-        "total_comm_words": int(total),
-        "comm_per_proc_max": int(per_proc.max()),
-        "comm_per_proc_mean": float(per_proc.mean()),
-        "levels": int(ir.meta.get("levels", ir.num_levels)),
-        "reads": int(total),
-        "writes": 0,
-        "io": int(total),
-    }
+    return comm_metrics(sent, received, ir.meta.get("levels", ir.num_levels))
 
 
 def execute(ir: ScheduleIR, machine=None) -> dict:
@@ -105,5 +119,5 @@ def execute(ir: ScheduleIR, machine=None) -> dict:
     if ir.kind == "pebble":
         return _pebble(ir, ir.params)
     if ir.kind == "parallel_comm":
-        return _parallel_comm(ir)
+        return parallel_comm(ir)
     raise KeyError(f"reference backend: unknown workload kind {ir.kind!r}")

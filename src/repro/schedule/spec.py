@@ -15,7 +15,8 @@ Builders
 ``lru_trace_schedule``   the naive-matmul address trace through an LRU cache
 ``pebble_schedule``      a red-blue pebbling move list (wraps a live
                          :class:`repro.pebbling.game.Schedule`)
-``parallel_comm_schedule``  BFS-parallel fast matmul communication
+``parallel_comm_schedule``  distributed matmul communication (BFS-parallel
+                            fast matmul or classical SUMMA)
 """
 
 from __future__ import annotations
@@ -235,14 +236,30 @@ def spec_from_params(kind: str, params: dict) -> ScheduleSpec:
 def parallel_comm_schedule(
     alg, n: int, P: int, M: int | None = None
 ) -> ScheduleSpec:
-    """BFS-parallel fast matmul communication (value-independent counting)."""
-    variant, live = _resolve_seq_alg(alg)
-    if variant != "recursive":
-        raise ValueError("parallel_comm requires a plain square bilinear algorithm")
+    """Distributed matmul communication on P processors: alg None = the
+    ``summa`` variant (classical SUMMA on a √P×√P grid), any square
+    bilinear algorithm = the ``bfs`` variant (BFS-parallel, P = tᵏ).
+
+    ``M`` is the per-processor memory the BSP machine enforces on SUMMA's
+    local blocks; the engine's runner also counts one leaf sub-problem's
+    local I/O with it.  The machine backend runs either variant on seeded
+    operands; only ``bfs`` lowers (see :func:`repro.schedule.lower.
+    lower_parallel_comm`).
+    """
+    if M is not None and int(M) < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    if alg is None:
+        variant, live = "summa", None
+    else:
+        variant, live = _resolve_seq_alg(alg)
+        if variant != "recursive":
+            raise ValueError("parallel_comm requires a plain square bilinear algorithm")
+        variant = "bfs"
     return ScheduleSpec(
         kind="parallel_comm",
         params={
-            "alg": alg if isinstance(alg, str) else live.name,
+            "alg": alg if isinstance(alg, (str, type(None))) else live.name,
+            "variant": variant,
             "n": int(n),
             "P": int(P),
             "M": None if M is None else int(M),

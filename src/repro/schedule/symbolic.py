@@ -233,7 +233,7 @@ def execute(spec: ScheduleSpec, machine=None) -> dict:
     elif spec.kind in ("pebble", "parallel_comm"):
         raise BackendUnsupported(
             f"symbolic backend has no closed form for {spec.kind!r} workloads; "
-            "use the reference or vector backend"
+            "see the backend support matrix in docs/schedule_ir.md"
         )
     else:
         raise KeyError(f"symbolic backend: unknown workload kind {spec.kind!r}")

@@ -16,7 +16,9 @@ deltas) and counts a whole schedule with a handful of array reductions:
   instead of one row per call;
 * pebbling — counter tallies via ``bincount`` over the move kinds (the
   red-set occupancy walk for peak/recomputation stays a loop: it is
-  inherently sequential state).
+  inherently sequential state);
+* parallel communication — the reference backend's reader of the
+  lowering's per-processor tallies (nothing there to vectorize).
 
 Counts are word-identical to the reference backend on every workload —
 certified by the ``repro falsify`` backend probes and tests/schedule/.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.schedule.ir import OpKind, ScheduleIR
+from repro.schedule.reference import parallel_comm
 
 __all__ = ["execute", "effective_rw"]
 
@@ -37,7 +40,6 @@ _ALLOC = _CODE[OpKind.ALLOC]
 _FREE = _CODE[OpKind.FREE]
 _REPLAY = _CODE[OpKind.REPLAY]
 _COMPUTE = _CODE[OpKind.COMPUTE]
-_COMM = _CODE[OpKind.COMM]
 
 
 def _arrays(ir: ScheduleIR) -> tuple[np.ndarray, np.ndarray]:
@@ -171,28 +173,6 @@ def _pebble(ir: ScheduleIR) -> dict:
     }
 
 
-def _parallel_comm(ir: ScheduleIR) -> dict:
-    sent = ir.meta.get("sent")
-    received = ir.meta.get("received")
-    if sent is None or received is None:
-        raise ValueError(
-            "parallel_comm IR is missing its per-processor tallies "
-            "(ir.meta['sent'/'received']); re-lower from the spec"
-        )
-    kinds, words = _arrays(ir)
-    total = int(words[kinds == _COMM].sum())
-    per_proc = np.asarray(sent) + np.asarray(received)
-    return {
-        "total_comm_words": total,
-        "comm_per_proc_max": int(per_proc.max()),
-        "comm_per_proc_mean": float(per_proc.mean()),
-        "levels": int(ir.meta.get("levels", ir.num_levels)),
-        "reads": total,
-        "writes": 0,
-        "io": total,
-    }
-
-
 def execute(ir: ScheduleIR, machine=None) -> dict:
     """Count a lowered IR with batched array passes; returns metrics."""
     if ir.kind == "seq_io":
@@ -202,7 +182,7 @@ def execute(ir: ScheduleIR, machine=None) -> dict:
     elif ir.kind == "pebble":
         metrics = _pebble(ir)
     elif ir.kind == "parallel_comm":
-        metrics = _parallel_comm(ir)
+        metrics = parallel_comm(ir)
     else:
         raise KeyError(f"vector backend: unknown workload kind {ir.kind!r}")
     if machine is not None and ir.kind == "seq_io":

@@ -26,7 +26,7 @@ engine's worker-pool :class:`~repro.engine.pool.Supervisor`):
   layered under ``EngineConfig.point_timeout_s`` which still bounds any
   single execution;
 * **graceful drain** — SIGTERM/SIGINT stops admission (``/readyz`` goes
-  503), lets in-flight work finish within ``drain_timeout_s``, flushes
+  503), lets in-flight work finish within ``DRAIN_TIMEOUT_S``, flushes
   the manifest and metrics, and leaves unfinished jobs in the WAL for
   the next incarnation.
 
@@ -38,7 +38,7 @@ task, so the chaos drill can kill them.
 Threading model: HTTP handler threads (admission + sync fast path),
 ``workers`` dispatcher threads (each feeds the shared pool or, degraded,
 executes in-process), and one flusher thread (manifest + metrics +
-endpoint heartbeat on ``flush_interval_s``).
+endpoint heartbeat every ``FLUSH_INTERVAL_S``).
 """
 
 from __future__ import annotations
@@ -81,6 +81,18 @@ _POLL_S = 0.25
 #: Size of the in-memory LRU fronting the disk cache on the sync fast path.
 MEM_CACHE_ENTRIES = 4096
 
+#: How many times one job survives a pool break or an execution timeout
+#: of its own before being failed outright (a job lost to the kill of
+#: another job's hung worker is re-queued free).
+MAX_JOB_RETRIES = 2
+
+#: Cadence of the flusher thread (manifest + metrics + WAL group commit
+#: for ``wal_sync="batch"``).
+FLUSH_INTERVAL_S = 1.0
+
+#: How long a graceful shutdown waits for in-flight jobs.
+DRAIN_TIMEOUT_S = 30.0
+
 
 class DrainingError(RuntimeError):
     """The daemon is shutting down and no longer admits jobs."""
@@ -111,17 +123,6 @@ class ServeConfig:
     breaker_threshold / breaker_cooldown_s:
         Circuit-breaker tuning (consecutive pool breaks to trip; seconds
         open before the half-open probe).
-    max_job_retries:
-        How many times one job survives a pool break or an execution
-        timeout of its own before being failed outright (a job lost to
-        the kill of another job's hung worker is re-queued free).
-    default_deadline_s:
-        Deadline budget given to jobs that do not carry their own.
-    flush_interval_s:
-        Cadence of the flusher thread (manifest + metrics + WAL group
-        commit for ``wal_sync="batch"``).
-    drain_timeout_s:
-        How long a graceful shutdown waits for in-flight jobs.
     allow_remote_shutdown:
         Expose ``POST /shutdown`` (tests and drills; a production
         daemon should be signalled instead).
@@ -137,10 +138,6 @@ class ServeConfig:
     wal_sync: str = "always"
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 5.0
-    max_job_retries: int = 2
-    default_deadline_s: float | None = None
-    flush_interval_s: float = 1.0
-    drain_timeout_s: float = 30.0
     allow_remote_shutdown: bool = False
 
     def __post_init__(self) -> None:
@@ -255,7 +252,7 @@ class Daemon:
         if self._stopped.is_set():
             return
         self.draining.set()
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         busy = True
         while time.monotonic() < deadline:
             with self._jobs_lock:
@@ -414,8 +411,6 @@ class Daemon:
             if existing is not None:
                 self.metrics.inc("serve.resubmitted")
                 return existing
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
         now = time.time()
         job = Job(
             id=job_id or uuid.uuid4().hex,
@@ -525,7 +520,7 @@ class Daemon:
         attempts = self._job_attempts.get(job.id, 0) + 1
         self._job_attempts[job.id] = attempts
         expired = job.remaining_s() is not None and job.remaining_s() <= 0
-        if attempts <= self.config.max_job_retries and not expired:
+        if attempts <= MAX_JOB_RETRIES and not expired:
             self.metrics.inc("serve.jobs.retried")
             self.queue.requeue(job, front=False)
             return
@@ -579,7 +574,7 @@ class Daemon:
     # ------------------------------------------------------------------ #
     def _flush_loop(self) -> None:
         while not self._stopped.is_set():
-            self._stopped.wait(self.config.flush_interval_s)
+            self._stopped.wait(FLUSH_INTERVAL_S)
             self.wal.sync()
             self._flush_manifest()
 

@@ -187,8 +187,7 @@ def _drill_breaker(base: Path, python: str, checks: dict, details: dict,
     proc = _spawn_daemon(
         serve_dir, python=python, fault_plan=plan,
         extra_flags=["--workers", "2", "--breaker-threshold", "1",
-                     "--breaker-cooldown", "2.0", "--job-retries", "2",
-                     "--wal-sync", "batch"],
+                     "--breaker-cooldown", "2.0", "--wal-sync", "batch"],
     )
     client = None
     try:

@@ -350,10 +350,29 @@ class TestBackendSelection:
             assert res.metrics["peak_fast"] == phys.metrics["peak_fast"], backend
 
     def test_parallel_comm_backend_matches_physical_run(self, strassen_alg):
-        phys = run_point(parallel_comm_point(strassen_alg, 16, 7))
-        counted = run_point(parallel_comm_point(strassen_alg, 16, 7, backend="vector"))
-        for key in ("comm_per_proc_max", "local_io_per_proc"):
-            assert counted.metrics[key] == phys.metrics[key]
+        phys = run_point(parallel_comm_point(strassen_alg, 16, 7, M=M))
+        assert phys.metrics["local_io_per_proc"] > 0
+        for backend in ("machine", "reference", "vector"):
+            counted = run_point(
+                parallel_comm_point(strassen_alg, 16, 7, M=M, backend=backend)
+            )
+            assert counted.metrics == phys.metrics, backend
+
+    @pytest.mark.parametrize("backend", ["reference", "vector", "symbolic", "nonsense"])
+    def test_summa_runs_on_machine_only(self, backend):
+        """Never a silent fallback to the physical run."""
+        from repro.schedule import BackendUnsupported
+
+        error = KeyError if backend == "nonsense" else BackendUnsupported
+        with pytest.raises(error):
+            run_point(parallel_comm_point(None, 8, 4, backend=backend))
+
+    @pytest.mark.parametrize("backend", [None, "reference", "vector", "symbolic"])
+    @pytest.mark.parametrize("alg", ["strassen", None])
+    def test_parallel_comm_rejects_zero_memory(self, alg, backend):
+        P = 4 if alg is None else 7
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            run_point(parallel_comm_point(alg, 16, P, M=0, backend=backend))
 
 
 class TestAlgorithmSpecs:

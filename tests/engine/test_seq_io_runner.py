@@ -1,10 +1,19 @@
-"""The seq_io / hybrid / lru_trace runners: one schedule.run per point,
-on the machine backend unless the point names another."""
+"""The seq_io / hybrid / lru_trace / parallel_comm runners: one
+schedule.run per point, on the machine backend unless the point names
+another."""
+
+import re
 
 import pytest
 
 import repro.execution
-from repro.engine import execute_point, hybrid_point, lru_trace_point, seq_io_point
+from repro.engine import (
+    execute_point,
+    hybrid_point,
+    lru_trace_point,
+    parallel_comm_point,
+    seq_io_point,
+)
 
 
 @pytest.fixture
@@ -59,6 +68,8 @@ class TestMachineBackendKey:
         lambda b: seq_io_point("strassen", 16, 48, backend=b),
         lambda b: hybrid_point("strassen", 16, 48, 1, backend=b),
         lambda b: lru_trace_point(16, 32, backend=b),
+        lambda b: parallel_comm_point("strassen", 16, 7, M=48, backend=b),
+        lambda b: parallel_comm_point(None, 16, 4, backend=b),
     ])
     def test_machine_is_the_default_key(self, build):
         assert build("machine").key == build(None).key
@@ -86,8 +97,21 @@ class TestHandWrittenPointErrors:
         ("seq_io", {"alg": "strassen", "n": 16, "M": 48}),
         ("hybrid", {"alg": "strassen", "n": 16, "M": 48, "cutoff": 1}),
         ("parallel_comm", {"alg": "strassen", "n": 16, "P": 7, "M": None}),
+        ("lru_trace", {"n": 16}),
+        ("pebble_optimal", {"family": "binary_tree", "family_params": {"depth": 2},
+                            "allow_recompute": True, "read_cost": 1.0,
+                            "write_cost": 1.0, "max_states": 1000}),
+        ("pebble_search", {"family": "binary_tree", "family_params": {"depth": 2},
+                           "M": 3, "read_cost": 1.0, "write_cost": 1.0}),
+        ("segment_audit", {"alg": "strassen", "n": 4, "M": 16, "style": "tree"}),
     ])
     def test_missing_seed_is_named(self, kind, params, replay_flags):
-        with pytest.raises(ValueError, match="'seed'"):
+        """The seed of the kinds that carry one, else the one required
+        field each hand-written body here leaves out, is named in a
+        ValueError before anything runs."""
+        omitted = {"lru_trace": "M", "pebble_optimal": "M",
+                   "pebble_search": "scheduler",
+                   "segment_audit": "scheduler"}.get(kind, "seed")
+        with pytest.raises(ValueError, match=re.escape(f"param(s) ['{omitted}']")):
             execute_point({"kind": kind, "params": params})
         assert replay_flags == []

@@ -85,12 +85,15 @@ class TestBFSStrassen:
         assert comm[49] < comm[7]
         assert comm[49] > comm[7] / 7  # sub-linear scaling
 
-    def test_local_io_term(self, strassen_alg, rng):
-        _, stats = execute_parallel_bfs(
-            strassen_alg, rng.standard_normal((16, 16)), rng.standard_normal((16, 16)), P=7, M=48
-        )
-        assert stats.local_io_per_proc > 0
-        assert stats.io_per_proc_max == stats.comm_per_proc_max + stats.local_io_per_proc
+    def test_local_io_term(self, strassen_alg):
+        """A parallel_comm point's local I/O is one leaf sub-problem's
+        (n/2 after one BFS level) sequential I/O."""
+        from repro.engine import execute_point, parallel_comm_point, seq_io_point
+
+        m, _, _ = execute_point(parallel_comm_point(strassen_alg, 16, 7, M=48).to_dict())
+        assert m["local_io_per_proc"] > 0
+        leaf, _, _ = execute_point(seq_io_point(strassen_alg, 8, 48).to_dict())
+        assert m["local_io_per_proc"] == leaf["io"]
 
     def test_bad_p_rejected(self, strassen_alg, rng):
         with pytest.raises(ValueError):

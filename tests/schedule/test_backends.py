@@ -81,18 +81,34 @@ class TestBackendEquivalence:
                 backend="symbolic",
             )
 
-    def test_machine_rejects_pebble_and_parallel_comm(self, strassen_alg):
+    def test_machine_rejects_pebble(self, strassen_alg):
         from repro.cdag import base_case_cdag
         from repro.pebbling import topological_schedule
 
         sched = topological_schedule(base_case_cdag(strassen_alg), 12)
         with pytest.raises(BackendUnsupported):
             schedule.run(schedule.pebble_schedule(sched, 12), backend="machine")
-        with pytest.raises(BackendUnsupported):
-            schedule.run(
-                schedule.parallel_comm_schedule(strassen_alg, 16, 7),
-                backend="machine",
-            )
+
+    def test_machine_runs_parallel_comm_like_the_ir(self, strassen_alg):
+        spec = schedule.parallel_comm_schedule(strassen_alg, 16, 7)
+        ran = schedule.run(spec, backend="machine")
+        for backend in ("reference", "vector"):
+            assert schedule.run(spec, backend=backend).metrics == ran.metrics
+
+    def test_summa_is_not_lowered(self, monkeypatch):
+        """SUMMA counts only on the machine backend; the lowering refuses
+        it before any owner-map work."""
+        import repro.execution.parallel_strassen as bfs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("summa lowering simulated BFS communication")
+
+        monkeypatch.setattr(bfs, "simulate_bfs_comm", refuse)
+        spec = schedule.parallel_comm_schedule(None, 8, 4)
+        assert schedule.run(spec, backend="machine").metrics["comm_per_proc_max"] > 0
+        for backend in ("reference", "vector", "symbolic"):
+            with pytest.raises(BackendUnsupported):
+                schedule.run(spec, backend=backend)
 
     def test_symbolic_reaches_4096(self):
         rep = schedule.run(

@@ -132,9 +132,10 @@ class TestBackpressure:
 
 
 class TestDrain:
-    def test_shutdown_flips_readyz_and_refuses_work(self, tmp_path):
+    def test_shutdown_flips_readyz_and_refuses_work(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.daemon.DRAIN_TIMEOUT_S", 5.0)
         daemon = Daemon(ServeConfig(serve_dir=tmp_path / "serve", workers=1,
-                                    wal_sync="off", drain_timeout_s=5.0,
+                                    wal_sync="off",
                                     allow_remote_shutdown=True))
         host, port = daemon.start()
         client = ServeClient(host, port)
