@@ -14,9 +14,9 @@ report DIR              observability dashboard for a sweep directory
 atlas                   schedule atlas: searched pebbling upper bounds
                         vs. the exhaustive optimum and the paper's
                         lower bounds (docs/pebbling.md)
-cache verify DIR        scan a result cache for corrupt/orphaned entries
-                        (``--repair`` quarantines/prunes; non-zero exit
-                        whenever corruption was found)
+cache verify DIR        check every result-cache row's checksum
+                        (``--repair`` quarantines corrupt rows; non-zero
+                        exit whenever corruption was found)
 falsify                 mutation-test the checkers, cross-check the counters
 zoo list|validate       the fast-matmul algorithm corpus (docs/zoo.md)
 zoo sweep --alg NAME    per-algorithm I/O sweep; fitted exponent is
@@ -624,8 +624,14 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_cache_verify(args) -> int:
+    from pathlib import Path
+
     from repro.engine import ResultCache
 
+    if not Path(args.cache_dir).expanduser().is_dir():
+        # ResultCache would create it, and an empty cache would read as OK
+        print(f"cache verify: no cache directory at {args.cache_dir}", file=sys.stderr)
+        return 2
     cache = ResultCache(args.cache_dir)
     report = cache.repair() if args.repair else cache.verify()
     if args.json:
@@ -633,14 +639,10 @@ def _cmd_cache_verify(args) -> int:
     else:
         print(f"cache {args.cache_dir}: {report['entries']} entries, "
               f"{report['quarantined']} quarantined")
-        for path in report["corrupt"]:
-            print(f"  corrupt: {path}")
-        for path in report["orphaned_tmp"]:
-            print(f"  orphaned tmp: {path}")
+        for key in report["corrupt"]:
+            print(f"  corrupt: {key}")
         if args.repair:
-            done = report["repaired"]
-            print(f"repaired: {len(done['quarantined'])} quarantined, "
-                  f"{len(done['removed_tmp'])} tmp files removed")
+            print(f"repaired: {len(report['repaired']['quarantined'])} quarantined")
         print("OK" if report["ok"] else "PROBLEMS FOUND")
     # --repair exits non-zero whenever corruption was *found*, repaired
     # or not — a clean exit must mean the cache was already healthy
@@ -846,13 +848,13 @@ def main(argv: list[str] | None = None) -> int:
     p_cache = sub.add_parser("cache", help="result-cache maintenance")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_cv = cache_sub.add_parser(
-        "verify", help="scan shards for corrupt entries and orphaned .tmp files"
+        "verify", help="check every cached row's checksum and JSON"
     )
     p_cv.add_argument("cache_dir", help="cache directory to scan")
     p_cv.add_argument("--json", action="store_true", help="machine-readable output")
     p_cv.add_argument(
         "--repair", action="store_true",
-        help="quarantine corrupt entries and prune orphaned .tmp files "
+        help="move corrupt rows (or an unreadable database) to quarantine/ "
              "(exit is still non-zero when corruption was found)",
     )
     p_cv.set_defaults(fn=_cmd_cache_verify)

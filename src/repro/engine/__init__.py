@@ -10,7 +10,7 @@ that property into infrastructure:
   ``segment_audit_point``, ``lru_trace_point``) and their pure executors;
 * :mod:`repro.engine.keys` — content-addressed cache keys over
   (kind, params, code version, schema);
-* :mod:`repro.engine.cache` — the atomic on-disk JSON store;
+* :mod:`repro.engine.cache` — the checksummed SQLite result store;
 * :mod:`repro.engine.core` — :func:`run_point` / :func:`run_sweep` with
   the :class:`EngineConfig`-controlled process-pool fan-out, per-point
   timeouts, retries, pool recovery, and incremental checkpointing;

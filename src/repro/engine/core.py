@@ -242,14 +242,15 @@ def run_point(
     config = config or EngineConfig()
     cache = config.open_cache()
     key = point.key
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return _finish(point, key, hit["metrics"], hit.get("trace", {}), True, 0.0)
+    hit = cache.get(key) if cache is not None else None
+    if hit is not None:
+        cache.close()
+        return _finish(point, key, hit["metrics"], hit.get("trace", {}), True, 0.0)
     metrics, trace, wall = execute_point(point.to_dict(), config.profile_spec(key))
     if cache is not None:
         cache.put(key, {"kind": point.kind, "params": point.params,
                         "metrics": metrics, "trace": trace})
+        cache.close()  # checkpoints now, not whenever the collector runs
     return _finish(point, key, metrics, trace, False, wall)
 
 
@@ -603,6 +604,8 @@ class _SweepRunner:
             if self._log is not None:
                 self._log.close()
                 self._log = None
+            if self.cache is not None:
+                self.cache.close()
         return self._assemble(t_start)
 
     def _assemble(self, t_start: float) -> SweepResult:

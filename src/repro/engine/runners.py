@@ -137,11 +137,12 @@ def resolve_algorithm(spec):
         if spec in registry:
             return registry[spec]()
         # Fall back to the corpus: any zoo entry is addressable by name.
-        from repro.zoo import corpus_names, load_algorithm
+        from repro.zoo import load_algorithm
 
-        if spec in corpus_names():
+        try:
             return load_algorithm(spec)
-        raise KeyError(f"unknown algorithm id {spec!r}")
+        except KeyError:
+            raise KeyError(f"unknown algorithm id {spec!r}") from None
     from repro.algorithms.bilinear import BilinearAlgorithm
 
     return BilinearAlgorithm(
@@ -268,8 +269,15 @@ def parallel_comm_point(
     I/O of one leaf sub-problem.  ``backend`` as for ``seq_io``: the
     reference and vector backends count BFS communication through the
     owner-map Schedule IR (and the local I/O on the same backend); SUMMA
-    runs on the ``machine`` backend only.
+    runs on the ``machine`` backend only.  A SUMMA point needs a square
+    ``P`` whose root divides ``n`` and, with ``M``, room for its
+    5·(n/√P)² peak; a bad one raises ``ValueError`` here, before a sweep
+    writes anything.
     """
+    if alg is None:
+        from repro.schedule import parallel_comm_schedule
+
+        parallel_comm_schedule(None, n, P, M)  # validates; the spec is cheap
     return _point("parallel_comm", {
         "alg": algorithm_spec(alg),
         "n": int(n),

@@ -20,7 +20,9 @@ survives power loss); ``"batch"`` flushes every append and fsyncs only
 on :meth:`RecordLog.sync` / :meth:`RecordLog.close`; ``"off"`` never
 fsyncs — sweeps use it, flushing each point's record as it finishes.
 :func:`atomic_write` is the temp-file + ``os.replace`` rewrite behind
-the cache, the run manifest, WAL compaction and the endpoint file.
+the run manifest, WAL compaction and the endpoint file.  The result cache
+(:mod:`repro.engine.cache`) stores each payload in this same framing, one
+SQLite row per line.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import warnings
 import zlib
 from pathlib import Path
 
-__all__ = ["WAL_SYNC_MODES", "WALError", "RecordLog", "atomic_write", "encode",
-           "iter_records"]
+__all__ = ["WAL_SYNC_MODES", "WALError", "RecordLog", "atomic_write", "decode",
+           "encode", "iter_records"]
 
 WAL_SYNC_MODES = ("always", "batch", "off")
 
@@ -50,7 +52,7 @@ def encode(record: dict) -> bytes:
     return f"{zlib.crc32(body.encode('utf-8')):08x} {body}\n".encode("utf-8")
 
 
-def _decode(raw: bytes):
+def decode(raw: bytes):
     """The record on one line; ValueError says what is wrong with it."""
     if raw[:1] == b"{":
         body = raw  # unframed: written before the checksummed framing
@@ -86,7 +88,7 @@ def iter_records(path: str | Path, strict: bool = True):
         lines.pop()
     for i, raw in enumerate(lines):
         try:
-            record = _decode(raw)
+            record = decode(raw)
         except ValueError as exc:
             if i == len(lines) - 1:
                 return  # torn tail: a killed writer, not corruption

@@ -46,10 +46,6 @@ class ParallelRunStats:
     def comm_per_proc_max(self) -> int:
         return int((self.sent + self.received).max())
 
-    @property
-    def comm_per_proc_mean(self) -> float:
-        return float((self.sent + self.received).mean())
-
 
 def _round_robin_owners(group: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Even entry→processor map over ``group`` (the model's even distribution)."""

@@ -121,9 +121,6 @@ class BSPMachine:
 
         self.superstep(step)
 
-    def allgather_counts(self) -> dict[str, float]:
-        return self.io_stats()
-
     # ------------------------------------------------------------------ #
     @property
     def io_per_processor(self) -> np.ndarray:

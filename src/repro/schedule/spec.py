@@ -21,6 +21,7 @@ Builders
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -250,6 +251,15 @@ def parallel_comm_schedule(
         raise ValueError(f"M must be >= 1, got {M}")
     if alg is None:
         variant, live = "summa", None
+        q = math.isqrt(max(int(P), 0))
+        if P < 1 or q * q != P:
+            raise ValueError(f"SUMMA needs a square processor count, got P={P}")
+        if n % q:
+            raise ValueError(f"SUMMA needs √P={q} to divide n={n}")
+        if M is not None and int(M) < 5 * (n // q) ** 2:
+            # the peak: A, B and C plus the two broadcast blocks Ak and Bk
+            raise ValueError(f"SUMMA needs M >= 5·(n/√P)² = {5 * (n // q) ** 2} "
+                             f"per processor, got M={M}")
     else:
         variant, live = _resolve_seq_alg(alg)
         if variant != "recursive":

@@ -271,6 +271,8 @@ class Daemon:
             self.metrics.inc("serve.jobs.orphaned")
         self.wal.sync()
         self.wal.close()
+        if self.cache is not None:
+            self.cache.close()
         self._flush_manifest()
         try:
             (self.config.serve_dir / ENDPOINT_NAME).unlink()

@@ -23,6 +23,7 @@ invalidated when a coefficient file changes.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,6 +101,7 @@ class CorpusEntry:
         return self.algorithm.omega0
 
 
+@functools.cache
 def corpus_dir() -> Path:
     return Path(__file__).resolve().parent / "corpus"
 
@@ -167,7 +169,7 @@ _cache: dict[tuple[str, int], CorpusEntry] = {}
 def load_entry(name: str) -> CorpusEntry:
     """Load + Brent-validate one corpus entry by name (cached per mtime)."""
     path = corpus_dir() / f"{name}.json"
-    if not path.is_file():
+    if path.parent != corpus_dir() or not path.is_file():  # a name, not a path
         known = ", ".join(corpus_names()) or "<empty corpus>"
         raise KeyError(f"no corpus entry {name!r} (known: {known})")
     key = (str(path), path.stat().st_mtime_ns)

@@ -374,6 +374,27 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="M must be >= 1"):
             run_point(parallel_comm_point(alg, 16, P, M=0, backend=backend))
 
+    def test_summa_memory_floor_is_five_blocks(self, tmp_path):
+        """SUMMA's peak is A, B and C plus the broadcast blocks Ak and Bk:
+        M = 5·(n/√P)² runs; one word less is refused by parallel_comm_point."""
+        block = (16 // 2) ** 2
+        assert run_point(parallel_comm_point(None, 16, 4, M=5 * block)).metrics[
+            "comm_per_proc_max"] > 0
+        sweep_dir = tmp_path / "sweep"
+        with pytest.raises(ValueError, match=r"SUMMA needs M >= 5·\(n/√P\)² = 320"):
+            run_sweep([parallel_comm_point(None, 16, 4, M=5 * block - 1)],
+                      EngineConfig(sweep_dir=sweep_dir))
+        assert not sweep_dir.exists()
+
+    @pytest.mark.parametrize("n, P", [(16, 3), (16, 8), (15, 4), (16, 0)])
+    def test_summa_rejects_bad_grid_at_build_time(self, n, P):
+        from repro.schedule import parallel_comm_schedule
+
+        with pytest.raises(ValueError, match="SUMMA needs"):
+            parallel_comm_point(None, n, P)
+        with pytest.raises(ValueError, match="SUMMA needs"):
+            parallel_comm_schedule(None, n, P)
+
 
 class TestAlgorithmSpecs:
     def test_corpus_algorithm_is_cacheable(self, tmp_path):
