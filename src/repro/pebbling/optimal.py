@@ -27,7 +27,9 @@ computed bit, XOR out a red bit), and a compute's legality — not red, every
 predecessor red, not yet computed — is one masked compare per vertex.
 
 The search is exponential — it exists to *certify* small instances: the
-recomputation-wins gadget, tiny trees/diamonds, and the 2×2 base-case CDAG.
+recomputation-wins gadget, tiny trees/diamonds, and E7's 14-vertex slice
+(one output's ancestors) of Strassen's tree-style 2×2 base-case CDAG; the
+33-vertex bipartite base-case CDAG hits the default fuse at M = 3…6.
 A ``max_states`` fuse raises :class:`SearchExhausted` rather than letting a
 too-large instance hang; a CDAG that admits *no* complete pebbling at the
 given M (the heap drains) raises :class:`Infeasible` instead — the two used

@@ -14,7 +14,8 @@ Backends
                 ``payload["seed"]``: seq_io on a live
                 :class:`SequentialMachine` (the ``machine`` argument when
                 given; checks C = AB only with replay off), lru_trace,
-                and parallel_comm (BFS or SUMMA on a :class:`BSPMachine`;
+                and parallel_comm (BFS words from ``simulate_bfs_comm``,
+                no :class:`BSPMachine`; SUMMA on a ``BSPMachine(P, M)``;
                 always checks C = AB — the only backend for SUMMA).  The
                 engine's points run here when they name no backend
 ``reference``   op-by-op interpretation; for sequential workloads the ops
