@@ -43,7 +43,7 @@ levels); the falsify probes certify it word-identical to the executions.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -77,15 +77,13 @@ def largest_leaf_tile(shape: tuple[int, int, int], M: int) -> int:
     The 4 is :data:`~repro.execution.classical_tiled.TILE_FOOTPRINT`: the
     true peak is A-tile + B-tile + C-tile + product scratch.  On (n, n, n)
     this is the tile :func:`~repro.execution.classical_tiled.execute_tiled`
-    uses by default.
+    uses by default.  The scan starts at √(M/4), so it costs at most that
+    many steps however large the shape.
     """
     R, K, C = shape
     g = gcd(gcd(R, K), C)
-    best = 1
-    for b in range(1, g + 1):
-        if g % b == 0 and TILE_FOOTPRINT * b * b <= M:
-            best = b
-    return best
+    top = min(g, isqrt(max(M, 0) // TILE_FOOTPRINT))  # 4b² ≤ M
+    return next((b for b in range(top, 1, -1) if g % b == 0), 1)
 
 
 def resident_block(R: int, C: int, M: int) -> tuple[int, int]:
@@ -97,10 +95,8 @@ def resident_block(R: int, C: int, M: int) -> tuple[int, int]:
     per-update product scratch at b·cw words.
     """
     g = gcd(R, C)
-    best = 1
-    for b in range(1, g + 1):
-        if g % b == 0 and (b + 1) * (b + 1) <= M:
-            best = b
+    top = min(g, isqrt(max(M, 0)) - 1)  # (b+1)² ≤ M
+    best = next((b for b in range(top, 1, -1) if g % b == 0), 1)
     if (best + 1) * (best + 1) > M:
         raise ValueError(f"invalid resident block {best} for M={M}")
     cw = min(best, max(1, (M - best * best - best) // (best + 1)))

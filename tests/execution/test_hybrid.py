@@ -1,5 +1,7 @@
 """Unit tests for the hybrid fast/classical executor (docs/hybrid.md)."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,24 @@ class TestLeafGeometry:
         assert got_b == b
         assert (b + 1) * (b + 1) <= M
         assert 1 <= cw <= b
+
+    def test_leaf_geometry_matches_a_full_divisor_scan(self):
+        """The scans start at √M instead of gcd: same answers, and a huge
+        shape costs no more than a small one."""
+        def scan(g, fits):
+            return max(b for b in range(1, g + 1) if g % b == 0 and fits(b))
+
+        for R, K, C in [(16, 16, 16), (15, 9, 6), (25, 4, 4), (64, 32, 48),
+                        (49, 49, 49), (27, 27, 9)]:
+            g = gcd(gcd(R, K), C)
+            for M in range(3, 300):
+                tile = scan(g, lambda b: 4 * b * b <= M or b == 1)
+                assert largest_leaf_tile((R, K, C), M) == tile
+                if M >= 4:
+                    block = scan(gcd(R, C), lambda b: (b + 1) ** 2 <= M or b == 1)
+                    assert resident_block(R, C, M)[0] == block
+        assert largest_leaf_tile((2**40,) * 3, 48) == 2
+        assert resident_block(2**40, 2**40, 48) == (4, 4)
 
     def test_hybrid_depth_square(self, strassen_alg):
         # splits until cache fit: 3·16²=768 > 48, 3·8²=192 > 48, 3·4²=48 ≤ 48

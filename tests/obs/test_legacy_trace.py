@@ -31,7 +31,7 @@ def legacy_sweep(tmp_path):
     assert all(set(r["trace"]) == {"events", "metrics"} for r in records)
     points = [SimpleNamespace(key=r["key"], kind=r["kind"], params=r["params"])
               for r in records]
-    RunManifest(tmp_path).start({}, "n", points)
+    RunManifest(tmp_path).start({}, "n", [(p, p.key) for p in points])
     shutil.copy(LEGACY, tmp_path / "results.jsonl")
     return tmp_path, records
 

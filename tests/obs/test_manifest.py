@@ -20,6 +20,10 @@ def _run(point, **fields) -> RunResult:
                      **fields)
 
 
+def _keyed(points) -> list:
+    return [(p, p.key) for p in points]
+
+
 def _append(stream, run: RunResult) -> None:
     with stream.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(run.to_dict(), sort_keys=True) + "\n")
@@ -44,7 +48,7 @@ class TestLifecycle:
     def test_start_writes_pending_ledger(self, tmp_path):
         points = [seq_io_point("strassen", n, 48) for n in (8, 16)]
         man = RunManifest(tmp_path)
-        man.start({"workers": 0}, "n", points)
+        man.start({"workers": 0}, "n", _keyed(points))
         data = json.loads((tmp_path / MANIFEST_NAME).read_text())
         assert data["schema"] == MANIFEST_SCHEMA
         assert data["parameter"] == "n"
@@ -57,7 +61,7 @@ class TestLifecycle:
         """The on-disk ledger stays pending; load folds results.jsonl."""
         point = seq_io_point("strassen", 8, 48)
         man = RunManifest(tmp_path)
-        man.start({}, "n", [point])
+        man.start({}, "n", _keyed([point]))
         _append(tmp_path / "results.jsonl", _run(point, wall_time_s=0.25))
         on_disk = json.loads((tmp_path / MANIFEST_NAME).read_text())
         assert on_disk["points"][point.key]["status"] == "pending"
@@ -69,7 +73,7 @@ class TestLifecycle:
     def test_fold_last_record_wins_and_counts_attempts(self, tmp_path):
         point = seq_io_point("strassen", 8, 48)
         man = RunManifest(tmp_path)
-        man.start({}, "n", [point])
+        man.start({}, "n", _keyed([point]))
         stream = tmp_path / "results.jsonl"
         _append(stream, _run(point))
         _append(stream, _run(point, status="error", metrics={},
@@ -84,7 +88,7 @@ class TestLifecycle:
         mine, other = (seq_io_point("strassen", n, 48) for n in (8, 16))
         stream = tmp_path / "sweep" / "results.jsonl"
         man = RunManifest(tmp_path / "sweep")
-        man.start({"sweep_dir": str(tmp_path / "sweep")}, "n", [mine])
+        man.start({"sweep_dir": str(tmp_path / "sweep")}, "n", _keyed([mine]))
         _append(stream, _run(other))
         _append(stream, _run(mine))
         points = RunManifest.load(tmp_path / "sweep" / MANIFEST_NAME)["points"]
@@ -94,7 +98,7 @@ class TestLifecycle:
     def test_moved_directory_folds_its_own_stream(self, tmp_path):
         point = seq_io_point("strassen", 8, 48)
         man = RunManifest(tmp_path / "a")
-        man.start({"sweep_dir": str(tmp_path / "a")}, "n", [point])
+        man.start({"sweep_dir": str(tmp_path / "a")}, "n", _keyed([point]))
         _append(tmp_path / "a" / "results.jsonl", _run(point))
         (tmp_path / "a").rename(tmp_path / "b")
         points = RunManifest.load(tmp_path / "b" / MANIFEST_NAME)["points"]
@@ -113,12 +117,12 @@ class TestLifecycle:
         p1 = seq_io_point("strassen", 8, 48)
         p2 = seq_io_point("strassen", 16, 48)
         man = RunManifest(tmp_path)
-        man.start({}, "n", [p1])
+        man.start({}, "n", _keyed([p1]))
         _append(tmp_path / "results.jsonl", _run(p1, wall_time_s=0.5))
         # second sweep into the same directory, superset of points; the
         # earlier run was killed before its finish() write
         man2 = RunManifest(tmp_path)
-        man2.start({}, "n", [p1, p2])
+        man2.start({}, "n", _keyed([p1, p2]))
         data = json.loads((tmp_path / MANIFEST_NAME).read_text())
         assert data["points"][p1.key]["status"] == "ok"  # survived the merge
         assert data["points"][p2.key]["status"] == "pending"
